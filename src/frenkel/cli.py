@@ -10,10 +10,12 @@ identity failed, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import frechet, pencil, resolvent, schatten
-from .divergence import delta_operator, trace_divergence
+from .divergence import delta_operator
 from .io import json_ready, read_pair, write_csv, write_pair
 from .linalg import (
     ZERO_BAND,
@@ -132,12 +134,44 @@ def _is_pd(M: np.ndarray) -> bool:
     return bool(w.min() > ZERO_BAND * np.abs(w).max(initial=0.0))
 
 
-def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
+class _PairMemo:
+    """Route results of one pair, each computed at most once.
+
+    memo(route, *args) calls route(*args) on first use; callers that arrive
+    meanwhile wait on that route's lock and share its result.  A raised
+    exception is stored with its traceback, and each caller raises its own
+    copy, so concurrent callers never extend one shared traceback.  Results
+    are keyed by the route alone, so a route must always get the pair's same
+    arguments.  A computation never asks the memo for another route, so
+    waiting on one entry cannot deadlock a small item pool.
+    """
+
+    def __init__(self):
+        self._guard = threading.Lock()
+        self._cells: dict = {}
+
+    def __call__(self, route, *args):
+        with self._guard:
+            cell = self._cells.setdefault(route, [threading.Lock(), None])
+        with cell[0]:
+            if cell[1] is None:
+                try:
+                    cell[1] = (route(*args), None)
+                except Exception as exc:
+                    cell[1] = (None, exc)
+        value, exc = cell[1]
+        if exc is not None:
+            raise copy.copy(exc).with_traceback(exc.__traceback__)
+        return value
+
+
+def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
     """The fixed list of (name, thunk); each thunk returns a result dict.
 
     Items whose formulas need a definite operand (logs of B, the chain
     integrals) are skipped for PSD-but-singular inputs; the restriction
-    route items cover those pairs.
+    route items cover those pairs.  Routes shared by several items go
+    through memo, looked up by module attribute when the item runs.
     """
     a_pd = _is_pd(A)
     b_pd = _is_pd(B)
@@ -145,21 +179,21 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
     scale_tr = max(1.0, abs(float(np.trace(A).real)))
 
     def main_identity():
-        delta = delta_operator(A, B).delta
-        r = rhs_frg1(A, B, tol)
+        delta = memo(delta_operator, A, B).delta
+        r = memo(rhs_frg1, A, B, tol)
         return {"residual": float(np.linalg.norm(r.value - delta, 2)), "threshold": 100 * tol}
 
     def form_equivalence():
-        r1 = rhs_frg1(A, B, tol)
-        r2 = rhs_frg(A, B, tol)
+        r1 = memo(rhs_frg1, A, B, tol)
+        r2 = memo(rhs_frg, A, B, tol)
         return {"residual": float(np.linalg.norm(r1.value - r2.value, 2)), "threshold": 2 * tol}
 
     def trace_formula():
-        d = trace_divergence(A, B)
+        d = memo(delta_operator, A, B).trace_div
         return {"residual": abs(frenkel_trace(A, B, tol) - d), "threshold": 100 * tol}
 
     def trace_consistency():
-        rep = delta_operator(A, B)
+        rep = memo(delta_operator, A, B)
         return {
             "residual": rep.residual_trace_consistency,
             "threshold": 1e-8 * (1 + abs(rep.trace_div)),
@@ -168,31 +202,31 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
     def pairing_trace():
         if not b_pd:
             return {"skipped": True}
-        r1, _ = frechet.trace_pairing_check(B, A)
+        r1, _ = memo(frechet.trace_pairing_check, B, A)
         return {"residual": r1, "threshold": 1e-9 * scale_tr}
 
     def pairing_identity():
         if not b_pd:
             return {"skipped": True}
-        _, r2 = frechet.trace_pairing_check(B, A)
+        _, r2 = memo(frechet.trace_pairing_check, B, A)
         return {"residual": r2, "threshold": 1e-10}
 
     def chain_identity():
         if not both_pd:
             return {"skipped": True}
-        pc = proof_chain_integrals(A, B, tol)
+        pc = memo(proof_chain_integrals, A, B, tol)
         return {"residual": pc.residual_chain, "threshold": 10 * tol}
 
     def log_difference_representation():
         if not both_pd:
             return {"skipped": True}
-        pc = proof_chain_integrals(A, B, tol)
+        pc = memo(proof_chain_integrals, A, B, tol)
         return {"residual": pc.residual_log_difference, "threshold": 10 * tol}
 
     def dlog_representation():
         if not both_pd:
             return {"skipped": True}
-        pc = proof_chain_integrals(A, B, tol)
+        pc = memo(proof_chain_integrals, A, B, tol)
         return {"residual": pc.residual_dlog_representation, "threshold": 10 * tol}
 
     def log_resolvent_oracle():
@@ -216,13 +250,13 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
         if not b_pd:
             return {"skipped": True}
         got = resolvent.dlog_resolvent(B, A, tol)
-        return {"residual": float(np.linalg.norm(got - frechet.dlog(B, A), 2)), "threshold": 1e-6}
+        return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-6}
 
     def dlog_fd_oracle():
         if not b_pd:
             return {"skipped": True}
         got = frechet.dlog_fd_oracle(B, A)
-        return {"residual": float(np.linalg.norm(got - frechet.dlog(B, A), 2)), "threshold": 1e-7}
+        return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-7}
 
     def bdlog_product_oracle():
         from .divergence import embed, restrict_pair
@@ -263,12 +297,12 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
         return {"residual": lhs - rhs * (1 + 1e-9), "threshold": 0.0, "lhs": lhs, "rhs": rhs}
 
     def delta_psd():
-        rep = delta_operator(A, B)
+        rep = memo(delta_operator, A, B)
         scale = max(opnorm(rep.delta), 1.0)
         return {"residual": -rep.delta_min_eigenvalue, "threshold": 1e-8 * scale}
 
     def quadrature_psd():
-        r = rhs_frg1(A, B, tol)
+        r = memo(rhs_frg1, A, B, tol)
         min_eig = float(np.linalg.eigvalsh(r.value).min())
         return {"residual": -min_eig, "threshold": r.error_estimate + 1e-10}
 
@@ -295,11 +329,14 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float):
     ]
 
 
-def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, threads: Optional[int] = None) -> dict:
+def run_verification_suite(
+    A: np.ndarray, B: np.ndarray, tol: float, threads: Optional[int] = None, diagnostics: bool = False
+) -> dict:
     """Run every identity check on one pair and assemble the JSON report.
 
     Pairs without support containment route to the divergence probe instead;
-    their single check is the growth slope against log t.
+    their single check is the growth slope against log t.  diagnostics adds
+    the panel logs of the suite's own two quadratures.
     """
     sup = support_relation(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
@@ -326,27 +363,25 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, threads: Op
         return report
 
     report["dichotomy"] = "finite"
-    items = _suite_items(A, B, tol)
+    memo = _PairMemo()
+    items = _suite_items(A, B, tol, memo)
     n_workers = threads if threads is not None else _threads()
 
-    def run_one(pair):
-        name, thunk = pair
-        t0 = time.perf_counter()
-        out = thunk()
-        elapsed = time.perf_counter() - t0
-        return name, out, elapsed
+    def run_one(item):
+        name, thunk = item
+        return name, thunk()
 
+    t0 = time.perf_counter()
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_one, items))
     else:
         results = [run_one(it) for it in items]
+    wall = time.perf_counter() - t0
 
     entries = []
     all_pass = True
-    timings = {}
-    for name, out, elapsed in results:
-        timings[name] = elapsed
+    for name, out in results:
         if out.get("skipped"):
             entries.append({"name": name, "skipped": True, "pass": True})
             continue
@@ -358,9 +393,13 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, threads: Op
         all_pass = all_pass and ok
     report["items"] = entries
     report["all_pass"] = bool(all_pass)
+    if diagnostics:
+        report["diagnostics"] = {
+            "gamma_form": _panel_log(memo(rhs_frg1, A, B, tol)),
+            "t_line": _panel_log(memo(rhs_frg, A, B, tol)),
+        }
     # Timings stay out of the report so repeated runs serialize identically.
-    total = sum(timings.values())
-    print(f"suite: {len(entries)} items in {total:.2f}s (wall, summed)", file=sys.stderr)
+    print(f"suite: {len(entries)} items in {wall:.2f}s (wall)", file=sys.stderr)
     return report
 
 
@@ -391,12 +430,7 @@ def _panel_log(result) -> dict:
 
 def _cmd_verify(args) -> int:
     A, B = read_pair(args.input)
-    report = run_verification_suite(A, B, args.tol)
-    if args.diagnostics and report["dichotomy"] == "finite":
-        report["diagnostics"] = {
-            "gamma_form": _panel_log(rhs_frg1(A, B, args.tol)),
-            "t_line": _panel_log(rhs_frg(A, B, args.tol)),
-        }
+    report = run_verification_suite(A, B, args.tol, diagnostics=args.diagnostics)
     text = json.dumps(report, indent=2)
     with open(args.output, "w") as fh:
         fh.write(text)

@@ -84,16 +84,6 @@ def o_gamma(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return parts(A - gamma * B).positive_part
 
 
-def range_basis(B: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning range(B) for PSD B.
-
-    Rank is decided by the relative eigenvalue threshold ZERO_BAND * ||B||.
-    """
-    w, U = np.linalg.eigh(hermitian_part(np.asarray(B, dtype=complex)))
-    band = ZERO_BAND * np.abs(w).max(initial=0.0)
-    return U[:, w > band]
-
-
 def restrict_pair(A: np.ndarray, B: np.ndarray):
     """Compress (A, B) onto range(B).
 

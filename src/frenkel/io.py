@@ -1,8 +1,9 @@
 """File formats: JSON matrices and pairs, CSV tables.
 
 Matrix files are JSON objects {"n": int, "re": n x n, "im": n x n}; the
-writer emits 17 significant digits (exact binary64 round-trip), the reader
-symmetrizes and reports the Hermiticity defect of what was stored.
+writer emits 17 significant digits (exact binary64 round-trip).  The matrix
+reader symmetrizes and reports the Hermiticity defect of what was stored;
+the pair reader rejects a defect above HERMITICITY_RTOL * max |entry|.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .linalg import hermitian_part, hermiticity_defect
+from .linalg import as_hermitian, hermitian_part, hermiticity_defect
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -51,14 +52,18 @@ def write_matrix(path_or_file: PathOrFile, M: np.ndarray) -> None:
             fh.close()
 
 
-def matrix_from_dict(obj: dict) -> tuple[np.ndarray, float]:
-    """Decode {"n","re","im"}; returns the symmetrized matrix and its stored defect."""
+def _stored_matrix(obj: dict) -> np.ndarray:
     n = int(obj["n"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix file: shape mismatch, n={n}, re {re.shape}, im {im.shape}")
-    M = re + 1j * im
+    return re + 1j * im
+
+
+def matrix_from_dict(obj: dict) -> tuple[np.ndarray, float]:
+    """Decode {"n","re","im"}; returns the symmetrized matrix and its stored defect."""
+    M = _stored_matrix(obj)
     return hermitian_part(M), hermiticity_defect(M)
 
 
@@ -90,14 +95,23 @@ def write_pair(path_or_file: PathOrFile, A: np.ndarray, B: np.ndarray, seed=None
 
 
 def read_pair(path_or_file: PathOrFile) -> tuple[np.ndarray, np.ndarray]:
-    """Read a pair file; Hermiticity defects are folded away by symmetrization."""
+    """Read a pair file and symmetrize both matrices.
+
+    Raises ValueError naming the matrix when one is malformed, non-finite,
+    or stored with a Hermiticity defect above HERMITICITY_RTOL * max |entry|.
+    """
     if hasattr(path_or_file, "read"):
         obj = json.load(path_or_file)
     else:
         with open(path_or_file) as fh:
             obj = json.load(fh)
-    A, _ = matrix_from_dict(obj["A"])
-    B, _ = matrix_from_dict(obj["B"])
+    pair = []
+    for name in ("A", "B"):
+        try:
+            pair.append(as_hermitian(_stored_matrix(obj[name])))
+        except ValueError as exc:
+            raise ValueError(f"pair file: matrix {name}: {exc}") from exc
+    A, B = pair
     return A, B
 
 

@@ -90,11 +90,6 @@ def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), U[:, ::-1].copy())
 
 
-def eigvalsh_desc(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, descending."""
-    return np.linalg.eigvalsh(hermitian_part(T))[::-1].copy()
-
-
 def spectral_apply(T: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 

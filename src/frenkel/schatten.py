@@ -84,19 +84,6 @@ def model_eigenvalues(model: CompactModel) -> np.ndarray:
     return mags * rng.choice([-1.0, 1.0], size=model.master_dim)
 
 
-def law_tail(model: CompactModel) -> float:
-    """Analytic bound on sum_{i > N} |mu_i|^p for the model's law."""
-    if math.isinf(model.p):
-        mags = model_magnitudes(model)
-        return float(mags[-1])
-    N, p = model.master_dim, model.p
-    if model.law == "power":
-        qp = model.param * p
-        return N ** (1 - qp) / (qp - 1)
-    rp = model.param**p
-    return rp ** (N + 1) / (1 - rp)
-
-
 def synth_compact(model: CompactModel) -> np.ndarray:
     """Realize the model as a dense Hermitian matrix with the prescribed spectrum.
 

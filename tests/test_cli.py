@@ -1,11 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+import traceback
+import types
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frenkel import cli, linalg
+from frenkel import cli, frechet, linalg
 from frenkel.cli import RunConfig, generate_pair, main, run_verification_suite
 from frenkel.io import read_pair
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestGeneratePair:
@@ -63,15 +74,17 @@ class TestVerify:
             assert it["pass"]
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        pair = tmp_path / "pair.json"
-        main(["gen", "--seed", "9", "--dim", "4", "-o", str(pair)])
-        outs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("FRENKEL_THREADS", threads)
-            out = tmp_path / f"report_{threads}.json"
-            assert main(["verify", "-i", str(pair), "-o", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        cases = {"pd": (["--dim", "4"], []), "singular": (["--dim", "6", "--singular-b"], ["--diagnostics"])}
+        for case, (gen_flags, verify_flags) in cases.items():
+            pair = tmp_path / f"pair_{case}.json"
+            main(["gen", "--seed", "9", *gen_flags, "-o", str(pair)])
+            outs = []
+            for threads in ("1", "2", "8"):
+                monkeypatch.setenv("FRENKEL_THREADS", threads)
+                out = tmp_path / f"report_{case}_{threads}.json"
+                assert main(["verify", "-i", str(pair), *verify_flags, "-o", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] == outs[2], case
 
     def test_divergent_pair_routes_to_probe(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -101,6 +114,31 @@ class TestVerify:
         rc = main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_raising_shared_route_exits_two_without_report(self, tmp_path, monkeypatch, capsys, threads):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "r.json"
+        main(["gen", "--seed", "17", "--dim", "3", "-o", str(pair)])
+
+        def boom(A, B, tol):
+            raise ValueError("chain failed")
+
+        monkeypatch.setattr(cli, "proof_chain_integrals", boom)
+        monkeypatch.setenv("FRENKEL_THREADS", threads)
+        assert main(["verify", "-i", str(pair), "-o", str(out)]) == 2
+        assert "frenkel: error: chain failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hermiticity_defect_exits_two(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        main(["gen", "--seed", "3", "--dim", "4", "-o", str(pair)])
+        obj = json.loads(pair.read_text())
+        obj["A"]["re"][0][1] += 1e-3
+        pair.write_text(json.dumps(obj))
+        assert main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")]) == 2
+        assert "matrix A" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_input_exits_two(self, tmp_path):
         rc = main(["verify", "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "r.json")])
         assert rc == 2
@@ -116,6 +154,104 @@ class TestVerify:
             assert diag[key]["evaluations"] > 0
             assert diag[key]["converged"] is True
             assert len(diag[key]["panels"]) >= 1
+        # The suite's own quadratures, equal to direct calls.
+        A, B = read_pair(pair)
+        direct = {"gamma_form": cli._panel_log(cli.rhs_frg1(A, B, 1e-8)), "t_line": cli._panel_log(cli.rhs_frg(A, B, 1e-8))}
+        assert diag == json.loads(json.dumps(direct))
+
+
+class TestSharedRoutes:
+    """Each route the suite shares runs once per pair, and --diagnostics reuses it."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_each_shared_route_runs_once(self, tmp_path, monkeypatch, threads, diagnostics):
+        pair = tmp_path / "pair.json"
+        main(["gen", "--seed", "23", "--dim", "4", "-o", str(pair)])
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("delta_operator", "rhs_frg1", "rhs_frg", "proof_chain_integrals"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        # Only the suite's own frechet calls count, not those inside frechet.
+        proxy = types.SimpleNamespace(**vars(frechet))
+        for name in ("trace_pairing_check", "dlog"):
+            setattr(proxy, name, counted(name, getattr(frechet, name)))
+        monkeypatch.setattr(cli, "frechet", proxy)
+        monkeypatch.setenv("FRENKEL_THREADS", threads)
+        argv = ["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")] + (["--diagnostics"] if diagnostics else [])
+        assert main(argv) == 0
+        assert Counter(calls) == {
+            "delta_operator": 1,
+            "rhs_frg1": 1,
+            "rhs_frg": 1,
+            "proof_chain_integrals": 1,
+            "trace_pairing_check": 1,
+            # dlog(B, A), and bdlog_product_oracle's dlog(B1, A1) on the range(B) restriction.
+            "dlog": 2,
+        }
+
+    def test_memo_computes_once_under_contention(self):
+        memo = cli._PairMemo()
+        calls = []
+
+        def slow():
+            calls.append(1)
+            time.sleep(0.01)
+            return object()
+
+        def failing():
+            calls.append(2)
+            raise ArithmeticError("once")
+
+        results = []
+        errors = []
+
+        def worker():
+            results.append(memo(slow))
+            try:
+                memo(failing)
+            except ArithmeticError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == [1, 2]
+        assert len(results) == 16 and all(r is results[0] for r in results)
+        # Each caller raises its own copy; no re-raise extends another's traceback.
+        assert len(errors) == 16 and len({id(e) for e in errors}) == 16
+        assert all(str(e) == "once" for e in errors)
+        assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_frenkel_help(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "frenkel", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verify" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestPencilCommand:

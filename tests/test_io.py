@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from frenkel import io as fio
 from util import rand_herm
@@ -50,6 +51,20 @@ class TestMatrixFormat:
         buf.seek(0)
         A2, B2 = fio.read_pair(buf)
         assert np.array_equal(A2, A) and np.array_equal(B2, B)
+
+    def test_pair_reader_rejects_hermiticity_defect(self):
+        rng = np.random.default_rng(203)
+        A, B = rand_herm(rng, 3), rand_herm(rng, 3)
+        obj = json.loads(fio.pair_json(A, B))
+        scale = np.abs(B).max()
+        obj["B"]["re"][0][1] += 1e-3 * scale
+        with pytest.raises(ValueError, match="matrix B: matrix is not Hermitian"):
+            fio.read_pair(io.StringIO(json.dumps(obj)))
+        # A defect within HERMITICITY_RTOL is symmetrized away.
+        obj["B"]["re"][0][1] = B.real[0, 1] + 1e-14 * scale
+        A2, B2 = fio.read_pair(io.StringIO(json.dumps(obj)))
+        assert np.array_equal(A2, A)
+        assert np.abs(B2 - B).max() <= 1e-14 * scale
 
 
 class TestCsv:
