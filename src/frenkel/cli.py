@@ -13,17 +13,16 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import frechet, pencil, resolvent, schatten
+from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import delta_operator
 from .io import json_ready, read_pair, write_csv, write_pair
 from .linalg import (
@@ -120,13 +119,8 @@ def generate_pair(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _threads() -> int:
-    raw = os.environ.get("FRENKEL_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"FRENKEL_THREADS must be an integer, got {raw!r}")
-    return min(8, os.cpu_count() or 1)
+    """The effective FRENKEL_THREADS (see workers.thread_count)."""
+    return workers.thread_count()
 
 
 def _is_pd(M: np.ndarray) -> bool:
@@ -263,7 +257,10 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
 
         pr = resolvent.bdlog_product(A, B, tol)
         V, A1, B1 = restrict_pair(A, B)
-        target = embed(V, B1 @ frechet.dlog(B1, A1), A.shape[0])
+        # On a full-rank B the restriction returns the operands unchanged,
+        # so the pair's shared dlog(B, A) is the same product.
+        dl = memo(frechet.dlog, B, A) if V is None else frechet.dlog(B1, A1)
+        target = embed(V, B1 @ dl, A.shape[0])
         residual = float(np.linalg.norm(pr.value - target, 2))
         bound_excess = max(0.0, pr.value_norm - pr.bound * (1 + 1e-6) - tol)
         return {
@@ -336,7 +333,9 @@ def run_verification_suite(
 
     Pairs without support containment route to the divergence probe instead;
     their single check is the growth slope against log t.  diagnostics adds
-    the panel logs of the suite's own two quadratures.
+    the panel logs of the suite's own two quadratures.  threads (default
+    FRENKEL_THREADS) sizes the shared executor that the items, and the
+    panel chunks of their quadratures, run on.
     """
     sup = support_relation(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
@@ -373,8 +372,12 @@ def run_verification_suite(
 
     t0 = time.perf_counter()
     if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_one, items))
+        # The executor the quadrature driver fans panel chunks out over too,
+        # so items and chunks share its n_workers threads.
+        pool = workers.executor(n_workers)
+        futures = [pool.submit(run_one, it) for it in items]
+        wait(futures)
+        results = [fut.result() for fut in futures]
     else:
         results = [run_one(it) for it in items]
     wall = time.perf_counter() - t0
@@ -519,6 +522,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _threads()  # a bad FRENKEL_THREADS is a usage error for every command
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"frenkel: error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ panels are pre-split at the kinks and no ad-hoc truncation is needed.
 from __future__ import annotations
 
 import math
+import time
+from concurrent.futures import wait
 from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Callable, Optional, Sequence
@@ -24,7 +26,7 @@ from .divergence import (
     restrict_pair,
     _block_chain,
 )
-from . import frechet
+from . import frechet, workers
 from .linalg import (
     ZERO_BAND,
     hermitian_part,
@@ -38,6 +40,15 @@ from .pencil import find_crossings
 
 MAX_PANELS = 2**14
 DEFAULT_TOL = 1e-8
+
+# The driver fans its initial panels out over the worker threads when the
+# first panel's time times the number of remaining panels reaches this.
+# Measured on two cores with single-threaded BLAS: eigvalsh on (15, 32, 32)
+# stacks ran slower on two threads than on one, so budget_e_p's initial
+# panels at N=32 (17-38 ms serial) took 1.1-1.5x longer fanned out, while at
+# N=40 (40-94 ms) they ran 1.5-1.6x faster and at N=72 1.8x; the eigh-based
+# routes gained from about 15 ms on.
+FAN_OUT_MIN_S = 0.050
 
 # The integrand at the u -> 0 endpoint of the substituted second term is
 # defined by continuity; nodes never reach the endpoint, but any evaluation
@@ -79,6 +90,10 @@ _WG = np.array(
         0.129484966168869693270611432679082,
     ]
 )
+# The weights as (1, m) rows: np.tensordot(w, vals, axes=(0, 0)) reduces to
+# np.dot of such a row with vals reshaped to (m, -1), without its set-up.
+_WK_ROW = _WK.reshape(1, 15)
+_WG_ROW = _WG.reshape(1, 7)
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,8 @@ class QuadratureResult:
 def _err_norm(M: np.ndarray) -> float:
     M = np.asarray(M)
     if M.ndim == 2:
-        return float(np.linalg.norm(M, 2))
+        # The operator norm, as np.linalg.norm(M, 2) computes it.
+        return float(np.linalg.svd(M, compute_uv=False).max())
     return float(abs(M))
 
 
@@ -112,9 +128,50 @@ def _panel(fv, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = fv(mid + half * _NODES)
-    i15 = half * np.tensordot(_WK, vals, axes=(0, 0))
-    i7 = half * np.tensordot(_WG, vals[_GAUSS_IDX], axes=(0, 0))
+    flat = vals.reshape(15, -1)
+    i15 = half * np.dot(_WK_ROW, flat).reshape(vals.shape[1:])
+    i7 = half * np.dot(_WG_ROW, flat[_GAUSS_IDX]).reshape(vals.shape[1:])
     return i15, _err_norm(i15 - i7)
+
+
+def _panels(fv, spans) -> list:
+    return [_panel(fv, lo, hi) for lo, hi in spans]
+
+
+def _initial_panels(fv, bounds: list[float]) -> list:
+    """Kronrod panels on consecutive bounds, in interval order.
+
+    When the first panel's time says the rest take at least FAN_OUT_MIN_S,
+    the rest are split into contiguous chunks, one per worker thread of the
+    shared executor.  The caller runs the first chunk, then every chunk no
+    worker has started yet, so a busy executor never stalls it.  Each panel
+    is computed by the same call as in the serial loop, so the values are
+    the same bits.
+    """
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    t0 = time.perf_counter()
+    out = [_panel(fv, *spans[0])]
+    rest = spans[1:]
+    n = 1
+    if len(rest) > 1 and (time.perf_counter() - t0) * len(rest) >= FAN_OUT_MIN_S:
+        n = workers.current_size()
+    if n == 1:
+        return out + _panels(fv, rest)
+    k = min(n, len(rest))
+    cuts = [len(rest) * i // k for i in range(k + 1)]
+    chunks = [rest[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    pool = workers.executor(n)
+    futures = [pool.submit(_panels, fv, chunk) for chunk in chunks[1:]]
+    try:
+        out += _panels(fv, chunks[0])
+        inline = [_panels(fv, chunk) if fut.cancel() else None for chunk, fut in zip(chunks[1:], futures)]
+        for got, fut in zip(inline, futures):
+            out += fut.result() if got is None else got
+    finally:
+        # A cancelled future counts as done only once a worker dequeues it,
+        # so wait only for chunks that are running or finished.
+        wait([fut for fut in futures if not fut.cancel()])
+    return out
 
 
 def _initial_bounds(a: float, b: float, kinks: Sequence[float]) -> list[float]:
@@ -140,8 +197,7 @@ def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: int = MA
     done = []
     evals = 0
     total_err = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        val, err = _panel(fv, lo, hi)
+    for lo, hi, (val, err) in zip(bounds[:-1], bounds[1:], _initial_panels(fv, bounds)):
         evals += 15
         total_err += err
         heappush(heap, (-err, lo, hi, val))
@@ -198,7 +254,8 @@ def adaptive_matrix_integral(
 
     With vectorized=True, f receives a 1-d array of abscissae and must
     return the stacked values, shape (m, ...); otherwise f maps one float
-    to one value.
+    to one value.  f may be called from up to FRENKEL_THREADS threads at
+    once (see _initial_panels).
     """
     if not (a < b):
         raise ValueError(f"adaptive_matrix_integral: need a < b, got [{a!r}, {b!r}]")

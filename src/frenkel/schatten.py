@@ -203,8 +203,11 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
     if sigma_max > 1.0:
 
         def f1(gs):
-            vals = _clipped_eigs(A1[None] - gs[:, None, None] * B1[None])
-            return _pnorm_rows(vals, p) / gs
+            # The pencil stack is built in place: one (15, N, N) temporary
+            # instead of two, with the same bits as A1 - g B1.
+            M = gs[:, None, None] * B1[None]
+            np.subtract(A1, M, out=M)
+            return _pnorm_rows(_clipped_eigs(M), p) / gs
 
         kinks = sigma[(sigma > 1.0) & (sigma < sigma_max)]
         total += float(_adaptive(f1, 1.0, sigma_max, tol, kinks=kinks).value)
@@ -212,8 +215,9 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
 
         def f2(us):
             u = np.maximum(us, U_FLOOR)
-            vals = _clipped_eigs(u[:, None, None] * B1[None] - A1[None])
-            return _pnorm_rows(vals, p) / u
+            M = u[:, None, None] * B1[None]
+            M -= A1
+            return _pnorm_rows(_clipped_eigs(M), p) / u
 
         kinks = sigma[(sigma > sigma_min) & (sigma < 1.0)]
         total += float(_adaptive(f2, sigma_min, 1.0, tol, kinks=kinks).value)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frenkel import cli, frechet, linalg
+from frenkel import cli, frechet, linalg, quadrature, workers
 from frenkel.cli import RunConfig, generate_pair, main, run_verification_suite
 from frenkel.io import read_pair
 
@@ -160,6 +161,70 @@ class TestVerify:
         assert diag == json.loads(json.dumps(direct))
 
 
+class TestThreadSetting:
+    """FRENKEL_THREADS parsing; no test here starts a thread."""
+
+    @pytest.mark.parametrize("raw, want", [("1", 1), ("3", 3), (" 2 ", 2), ("100000", 100000)])
+    def test_accepts_positive_integers(self, monkeypatch, raw, want):
+        monkeypatch.setenv("FRENKEL_THREADS", raw)
+        assert cli._threads() == want
+
+    @pytest.mark.parametrize("raw", ["", "   "])
+    def test_default_is_min_of_eight_and_nproc(self, monkeypatch, raw):
+        monkeypatch.setenv("FRENKEL_THREADS", raw)
+        assert cli._threads() == min(8, os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "-64", "two", "1.5"])
+    def test_rejects_values_below_one_and_non_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("FRENKEL_THREADS", raw)
+        with pytest.raises(ValueError, match="FRENKEL_THREADS"):
+            cli._threads()
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_verify_exits_two_on_bad_setting(self, tmp_path, monkeypatch, capsys, raw):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "r.json"
+        assert main(["gen", "--seed", "2", "--dim", "3", "-o", str(pair)]) == 0
+        monkeypatch.setenv("FRENKEL_THREADS", raw)
+        assert main(["verify", "-i", str(pair), "-o", str(out)]) == 2
+        assert "FRENKEL_THREADS must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPanelFanOutInVerify:
+    """verify with the driver's panel fan-out forced on, sharing the item executor."""
+
+    def test_forced_fan_out_keeps_bytes_and_finishes(self, tmp_path, monkeypatch):
+        cases = {"pd": ["--dim", "6"], "singular": ["--dim", "12", "--singular-b"]}
+        pools = []
+        real_executor = workers.executor
+
+        def counting(n):
+            pools.append(n)
+            return real_executor(n)
+
+        monkeypatch.setattr(workers, "executor", counting)
+        for case, gen_flags in cases.items():
+            pair = tmp_path / f"pair_{case}.json"
+            assert main(["gen", "--seed", "29", *gen_flags, "-o", str(pair)]) == 0
+            outs = {}
+            for threads, min_s in (("1", math.inf), ("1", 0.0), ("2", 0.0), ("8", 0.0)):
+                monkeypatch.setenv("FRENKEL_THREADS", threads)
+                monkeypatch.setattr(quadrature, "FAN_OUT_MIN_S", min_s)
+                out = tmp_path / f"report_{case}_{threads}_{min_s}.json"
+                rc = []
+                pools.clear()
+                runner = threading.Thread(target=lambda: rc.append(main(["verify", "-i", str(pair), "--diagnostics", "-o", str(out)])))
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive(), f"verify did not finish ({case}, {threads} threads)"
+                assert rc == [0]
+                # One executor lookup for the items, the rest from panel fan-outs.
+                assert (pools.count(int(threads)) > 1 if threads != "1" else not pools), (threads, pools)
+                outs[threads, min_s] = out.read_bytes()
+            assert len(set(outs.values())) == 1, case
+
+
 class TestSharedRoutes:
     """Each route the suite shares runs once per pair, and --diagnostics reuses it."""
 
@@ -193,8 +258,8 @@ class TestSharedRoutes:
             "rhs_frg": 1,
             "proof_chain_integrals": 1,
             "trace_pairing_check": 1,
-            # dlog(B, A), and bdlog_product_oracle's dlog(B1, A1) on the range(B) restriction.
-            "dlog": 2,
+            # dlog(B, A), shared with bdlog_product_oracle on this full-rank B.
+            "dlog": 1,
         }
 
     def test_memo_computes_once_under_contention(self):

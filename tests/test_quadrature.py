@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from frenkel import linalg
+from frenkel import linalg, quadrature, schatten, workers
+from frenkel.schatten import CompactModel
 from frenkel.divergence import SupportViolation, delta_operator, relative_spectrum, restrict_pair, trace_divergence
 from frenkel.quadrature import (
     adaptive_matrix_integral,
@@ -269,3 +271,133 @@ class TestDivergenceProbe:
         B = rand_pd(rng, 3)
         with pytest.raises(ValueError):
             divergence_probe(A, B, [10.0, 100.0])
+
+
+class TestLeanPanel:
+    """_panel and _err_norm give the bits of their tensordot / norm forms."""
+
+    @staticmethod
+    def reference_panel(fv, a, b):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        vals = fv(mid + half * quadrature._NODES)
+        i15 = half * np.tensordot(quadrature._WK, vals, axes=(0, 0))
+        i7 = half * np.tensordot(quadrature._WG, vals[quadrature._GAUSS_IDX], axes=(0, 0))
+        d = i15 - i7
+        return i15, float(np.linalg.norm(d, 2)) if d.ndim == 2 else float(abs(d))
+
+    def test_matrix_and_scalar_integrands(self):
+        rng = np.random.default_rng(301)
+        A = rand_pd(rng, 6)
+        B = rand_pd(rng, 6)
+        integrands = [
+            lambda gs: linalg.positive_part_stack(A[None] - gs[:, None, None] * B[None]) / gs[:, None, None],
+            lambda gs: np.sin(3.0 * gs) * np.exp(gs),
+        ]
+        for fv in integrands:
+            for a, b in ((0.3, 1.7), (1.0, 9.5)):
+                val, err = quadrature._panel(fv, a, b)
+                want_val, want_err = self.reference_panel(fv, a, b)
+                assert val.shape == want_val.shape
+                assert val.tobytes() == want_val.tobytes()
+                assert err == want_err
+
+
+def _dominated_pair(dim):
+    a = CompactModel(master_dim=dim, law="geom", param=0.6, signs="pos", rotation_seed=917, p=2.0)
+    b = CompactModel(master_dim=dim, law="power", param=2.0, signs="pos", rotation_seed=917, p=2.0)
+    return schatten.synth_compact(a), schatten.synth_compact(b)
+
+
+def _record_quadratures(monkeypatch):
+    """Collect every QuadratureResult the driver returns, as comparable bytes."""
+    seen = []
+    real = quadrature._adaptive
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        value = np.asarray(res.value)
+        seen.append((value.tobytes(), value.shape, res.error_estimate, res.panels, res.evaluations, res.converged))
+        return res
+
+    monkeypatch.setattr(quadrature, "_adaptive", recording)
+    monkeypatch.setattr(schatten, "_adaptive", recording)
+    return seen
+
+
+class TestPanelFanOut:
+    """Fanning the initial panels out over worker threads changes no bit."""
+
+    @staticmethod
+    def run_routes(A48, B48, A, B):
+        out = [schatten.budget_e_p(A48, B48, p) for p in (1.0, 2.0, math.inf)]
+        r = rhs_frg1(A, B, 1e-8)
+        out.append((r.value.tobytes(), r.error_estimate, r.panels, r.evaluations))
+        out.append(frenkel_trace(A, B, 1e-8))
+        pc = proof_chain_integrals(A, B, 1e-8)
+        out.append((pc.u.tobytes(), pc.v.tobytes(), pc.w.tobytes(), pc.residual_chain, pc.residual_dlog_representation, pc.evaluations))
+        return out
+
+    def test_bitwise_equal_to_serial(self, monkeypatch):
+        A48, B48 = _dominated_pair(48)
+        rng = np.random.default_rng(311)
+        A = rand_pd(rng, 6)
+        B = rand_pd(rng, 6)
+        fanned = []
+        real_executor = workers.executor
+
+        def counting(n):
+            fanned.append(n)
+            return real_executor(n)
+
+        monkeypatch.setattr(workers, "executor", counting)
+        runs = {}
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("FRENKEL_THREADS", threads)
+            for forced, min_s in (("on", 0.0), ("off", math.inf)):
+                monkeypatch.setattr(quadrature, "FAN_OUT_MIN_S", min_s)
+                with monkeypatch.context() as m:
+                    seen = _record_quadratures(m)
+                    fanned.clear()
+                    out = self.run_routes(A48, B48, A, B)
+                runs[threads, forced] = (out, seen)
+                if forced == "on" and threads != "1":
+                    assert fanned and set(fanned) == {int(threads)}
+                else:
+                    assert not fanned
+        reference = runs["1", "off"]
+        assert len(reference[1]) > 10
+        for key, got in runs.items():
+            assert got == reference, key
+
+    def test_busy_executor_never_stalls_the_caller(self, monkeypatch):
+        monkeypatch.setenv("FRENKEL_THREADS", "2")
+        monkeypatch.setattr(quadrature, "FAN_OUT_MIN_S", 0.0)
+        A, B = _dominated_pair(12)
+        want = schatten.budget_e_p(A, B, 2.0)
+        release = threading.Event()
+        pool = workers.executor(2)
+        blockers = [pool.submit(release.wait, 30) for _ in range(2)]
+        got = []
+        caller = threading.Thread(target=lambda: got.append(schatten.budget_e_p(A, B, 2.0)))
+        try:
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+            for fut in blockers:
+                fut.result(timeout=30)
+        assert got == [want]
+
+    def test_chunk_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setenv("FRENKEL_THREADS", "2")
+        monkeypatch.setattr(quadrature, "FAN_OUT_MIN_S", 0.0)
+
+        def fv(xs):
+            if xs.min() > 3.0:
+                raise ArithmeticError("late panel")
+            return np.sin(xs)
+
+        with pytest.raises(ArithmeticError, match="late panel"):
+            quadrature._adaptive(fv, 0.0, 4.0, 1e-10, kinks=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
