@@ -26,9 +26,9 @@ from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import delta_operator
 from .io import json_ready, read_pair, write_csv, write_pair
 from .linalg import (
-    ZERO_BAND,
     hermitian_part,
     opnorm,
+    positive_definite_spectrum,
     random_unitary,
     support_relation,
 )
@@ -123,11 +123,6 @@ def _threads() -> int:
     return workers.thread_count()
 
 
-def _is_pd(M: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(M)
-    return bool(w.min() > ZERO_BAND * np.abs(w).max(initial=0.0))
-
-
 class _PairMemo:
     """Route results of one pair, each computed at most once.
 
@@ -167,8 +162,8 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
     route items cover those pairs.  Routes shared by several items go
     through memo, looked up by module attribute when the item runs.
     """
-    a_pd = _is_pd(A)
-    b_pd = _is_pd(B)
+    a_pd = positive_definite_spectrum(np.linalg.eigvalsh(A))
+    b_pd = positive_definite_spectrum(np.linalg.eigvalsh(B))
     both_pd = a_pd and b_pd
     scale_tr = max(1.0, abs(float(np.trace(A).real)))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,12 +19,16 @@ import numpy as np
 from . import frechet
 from .linalg import (
     ZERO_BAND,
+    PsdOrderVerdict,
+    SpectralDecomposition,
     eig_hermitian,
     hermitian_part,
-    matrix_log,
+    log_of,
     parts,
+    positive_definite_spectrum,
+    range_mask,
     require_psd,
-    support_relation,
+    support_in_eigenbasis,
 )
 
 FINITE = "finite"
@@ -91,9 +96,12 @@ def restrict_pair(A: np.ndarray, B: np.ndarray):
     and A1 = V* A V, B1 = V* B V.  V is None when B has full rank, in which
     case A1, B1 are the original matrices.
     """
-    w, U = np.linalg.eigh(hermitian_part(np.asarray(B, dtype=complex)))
-    band = ZERO_BAND * np.abs(w).max(initial=0.0)
-    keep = w > band
+    return _restrict(A, B, *np.linalg.eigh(hermitian_part(np.asarray(B, dtype=complex))))
+
+
+def _restrict(A: np.ndarray, B: np.ndarray, w: np.ndarray, U: np.ndarray):
+    """restrict_pair given the ascending eigh (w, U) of B."""
+    keep = range_mask(w)
     if keep.all():
         return None, np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     V = U[:, keep]
@@ -115,8 +123,12 @@ def relative_spectrum(A1: np.ndarray, B1: np.ndarray) -> np.ndarray:
     These are the generalized eigenvalues of the pencil A1 - gamma B1: the
     parameters where it goes singular.
     """
-    w, U = np.linalg.eigh(hermitian_part(B1))
-    if w.min() <= ZERO_BAND * np.abs(w).max():
+    return _relative_spectrum(A1, *np.linalg.eigh(hermitian_part(B1)))
+
+
+def _relative_spectrum(A1: np.ndarray, w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """relative_spectrum given the ascending eigh (w, U) of B1."""
+    if not positive_definite_spectrum(w):
         raise ValueError("relative_spectrum: B1 not positive definite")
     inv_sqrt = U * (1.0 / np.sqrt(w))
     S = hermitian_part(inv_sqrt.conj().T @ A1 @ inv_sqrt)
@@ -124,27 +136,71 @@ def relative_spectrum(A1: np.ndarray, B1: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[::-1].copy()
 
 
-def domination_tau(A: np.ndarray, B: np.ndarray) -> float:
-    """Smallest tau with A <= tau B, or inf when support containment fails."""
+@dataclass(frozen=True)
+class PreparedPair:
+    """A validated pair (A, B), set up once per route call.
+
+    support is the range(A) in range(B) verdict, with its witness on
+    failure.  When it holds, (V, A1, B1) is restrict_pair(A, B) and b1_eigh
+    the ascending eigh of B1, the eigh of B itself when B has full rank;
+    otherwise all four are None.  sigma is computed on first use.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    support: PsdOrderVerdict
+    V: Optional[np.ndarray] = None
+    A1: Optional[np.ndarray] = None
+    B1: Optional[np.ndarray] = None
+    b1_eigh: Optional[tuple] = None
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """relative_spectrum(A1, B1)."""
+        return _relative_spectrum(self.A1, *self.b1_eigh)
+
+    @cached_property
+    def b1_decomposition(self) -> SpectralDecomposition:
+        """eig_hermitian(B1)."""
+        w, U = self.b1_eigh
+        return SpectralDecomposition(w[::-1].copy(), U[:, ::-1].copy())
+
+
+def prepare_pair(A: np.ndarray, B: np.ndarray) -> PreparedPair:
+    """Validate each operand once, then take the support verdict and the
+    restriction to range(B) from a single eigh of B."""
     A = require_psd(A, "A")
     B = require_psd(B, "B")
-    if not support_relation(A, B).holds:
+    if A.shape != B.shape:
+        raise ValueError(f"dimension mismatch {A.shape} vs {B.shape}")
+    w, U = np.linalg.eigh(B)
+    support = support_in_eigenbasis(A, w, U)
+    if not support.holds:
+        return PreparedPair(A, B, support)
+    V, A1, B1 = _restrict(A, B, w, U)
+    b1_eigh = (w, U) if V is None else np.linalg.eigh(B1)
+    return PreparedPair(A, B, support, V, A1, B1, b1_eigh)
+
+
+def domination_tau(A: np.ndarray, B: np.ndarray) -> float:
+    """Smallest tau with A <= tau B, or inf when support containment fails."""
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
         return math.inf
-    _, A1, B1 = restrict_pair(A, B)
-    sigma = relative_spectrum(A1, B1)
-    return float(max(sigma[0], 0.0))
+    return float(max(pair.sigma[0], 0.0))
 
 
 def _xlogx(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def _block_chain(A1: np.ndarray, B1: np.ndarray) -> np.ndarray:
+def _block_chain(A1: np.ndarray, B1: np.ndarray, b1_dec: Optional[SpectralDecomposition] = None) -> np.ndarray:
     """A1(log A1 - log B1) on a block where B1 is PD.
 
     A1 log A1 goes through the spectral convention 0 log 0 = 0 (eigenvalues
     of A1 inside the zero band are treated as exact zeros); A1 log B1 is an
-    ordinary product.
+    ordinary product, taken from b1_dec, the decomposition of B1, when the
+    caller has it.
     """
     dec = eig_hermitian(A1)
     w = dec.eigenvalues
@@ -155,29 +211,25 @@ def _block_chain(A1: np.ndarray, B1: np.ndarray) -> np.ndarray:
     vals = np.array([_xlogx(x) for x in w])
     U = dec.eigenvectors
     a_log_a = hermitian_part((U * vals) @ U.conj().T)
-    return a_log_a - A1 @ matrix_log(B1)
+    return a_log_a - A1 @ log_of(eig_hermitian(B1) if b1_dec is None else b1_dec)
 
 
 def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
     """Spectral-route Delta(A||B), with the support dichotomy resolved first."""
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"delta_operator: dimension mismatch {A.shape} vs {B.shape}")
-    sup = support_relation(A, B)
-    if not sup.holds:
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
         return DivergenceReport(
             delta=None,
             trace_div=math.inf,
             dichotomy=DIVERGENT,
-            witness=sup.witness,
+            witness=pair.support.witness,
             residual_trace_consistency=0.0,
             delta_min_eigenvalue=math.nan,
         )
-    n = A.shape[0]
-    V, A1, B1 = restrict_pair(A, B)
-    chain = _block_chain(A1, B1)
-    delta1 = hermitian_part(chain - B1 @ frechet.dlog(B1, A1) + B1)
+    n = pair.A.shape[0]
+    V, A1, B1 = pair.V, pair.A1, pair.B1
+    chain = _block_chain(A1, B1, pair.b1_decomposition)
+    delta1 = hermitian_part(chain - B1 @ frechet.dlog_in(pair.b1_decomposition, A1) + B1)
     trace_div = float(np.trace(chain).real - np.trace(A1).real + np.trace(B1).real)
     residual = abs(float(np.trace(delta1).real) - trace_div)
     delta = embed(V, delta1, n)
@@ -196,12 +248,8 @@ def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
 
 def trace_divergence(A: np.ndarray, B: np.ndarray) -> float:
     """D(A||B) = tr(A(log A - log B) - A + B), or inf without support containment."""
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"trace_divergence: dimension mismatch {A.shape} vs {B.shape}")
-    if not support_relation(A, B).holds:
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
         return math.inf
-    _, A1, B1 = restrict_pair(A, B)
-    chain = _block_chain(A1, B1)
-    return float(np.trace(chain).real - np.trace(A1).real + np.trace(B1).real)
+    chain = _block_chain(pair.A1, pair.B1, pair.b1_decomposition)
+    return float(np.trace(chain).real - np.trace(pair.A1).real + np.trace(pair.B1).real)

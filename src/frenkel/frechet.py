@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ZERO_BAND, eig_hermitian, hermitian_part, matrix_log, opnorm
+from .linalg import SpectralDecomposition, eig_hermitian, hermitian_part, matrix_log, opnorm, positive_definite_spectrum
 
 # Below this relative gap the divided difference (log b - log a)/(b - a)
 # has no correct digits in float64; the midpoint reciprocal 2/(a + b) is
@@ -49,12 +49,16 @@ def dlog(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != B.shape:
         raise ValueError(f"dlog: dimension mismatch {B.shape} vs {A.shape}")
-    dec = eig_hermitian(B)
+    return dlog_in(eig_hermitian(B), A)
+
+
+def dlog_in(dec: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
+    """dlog(B, A) given the decomposition of B."""
     w = dec.eigenvalues
-    if w.min() <= ZERO_BAND * np.abs(w).max():
+    if not positive_definite_spectrum(w):
         raise ValueError(f"dlog: B not positive definite (min eigenvalue {w.min():.6e})")
     U = dec.eigenvectors
-    C = U.conj().T @ A @ U
+    C = U.conj().T @ np.asarray(A, dtype=complex) @ U
     L = loewner_log(w)
     return hermitian_part(U @ (L * C) @ U.conj().T)
 
@@ -70,10 +74,10 @@ def dlog_fd_oracle(B: np.ndarray, A: np.ndarray, t: float | None = None) -> np.n
     B = np.asarray(B, dtype=complex)
     A = np.asarray(A, dtype=complex)
     if t is None:
-        lam_min = float(np.linalg.eigvalsh(hermitian_part(B)).min())
-        if lam_min <= 0:
+        w = np.linalg.eigvalsh(hermitian_part(B))
+        if not positive_definite_spectrum(w):
             raise ValueError("dlog_fd_oracle: B must be positive definite")
-        t = 1e-4 * lam_min / max(opnorm(A), 1.0)
+        t = 1e-4 * float(w.min()) / max(opnorm(A), 1.0)
     if t <= 0:
         raise ValueError("dlog_fd_oracle: step must be positive")
     try:
@@ -87,9 +91,11 @@ def dlog_fd_oracle(B: np.ndarray, A: np.ndarray, t: float | None = None) -> np.n
 def trace_pairing_check(B: np.ndarray, A: np.ndarray) -> tuple[float, float]:
     """Residuals of the two exact pairing identities of dlog.
 
-    Returns (|tr(B dlog(B, A)) - tr A|, ||dlog(B, B) - I||_F).
+    Returns (|tr(B dlog(B, A)) - tr A|, ||dlog(B, B) - I||_F); both
+    derivatives share one decomposition of B.
     """
-    r1 = abs(float(np.trace(B @ dlog(B, A)).real - np.trace(A).real))
+    dec = eig_hermitian(B)
+    r1 = abs(float(np.trace(B @ dlog_in(dec, A)).real - np.trace(A).real))
     n = B.shape[0]
-    r2 = float(np.linalg.norm(dlog(B, B) - np.eye(n)))
+    r2 = float(np.linalg.norm(dlog_in(dec, B) - np.eye(n)))
     return r1, r2

@@ -90,6 +90,17 @@ def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), U[:, ::-1].copy())
 
 
+def positive_definite_spectrum(w: np.ndarray) -> bool:
+    """The package's one definiteness test on a Hermitian spectrum: the
+    smallest eigenvalue clears the zero band of the largest magnitude."""
+    return bool(w.min() > ZERO_BAND * np.abs(w).max(initial=0.0))
+
+
+def range_mask(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a PSD spectrum above its zero band, the ones spanning its range."""
+    return w > ZERO_BAND * np.abs(w).max(initial=0.0)
+
+
 def spectral_apply(T: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
@@ -175,13 +186,16 @@ def positive_eig_stack(mats: np.ndarray) -> np.ndarray:
 
 def matrix_log(T: np.ndarray) -> np.ndarray:
     """Principal logarithm of a positive definite Hermitian matrix."""
-    dec = eig_hermitian(T)
+    return log_of(eig_hermitian(T))
+
+
+def log_of(dec: SpectralDecomposition) -> np.ndarray:
+    """matrix_log of the matrix with this decomposition."""
     w = dec.eigenvalues
-    floor = ZERO_BAND * np.abs(w).max()
-    if w.min() <= floor:
+    if not positive_definite_spectrum(w):
         raise ValueError(
             f"matrix_log: input not positive definite at working precision "
-            f"(min eigenvalue {w.min():.6e}, floor {floor:.6e})"
+            f"(min eigenvalue {w.min():.6e}, floor {ZERO_BAND * np.abs(w).max():.6e})"
         )
     U = dec.eigenvectors
     return hermitian_part((U * np.log(w)) @ U.conj().T)
@@ -262,9 +276,12 @@ def support_relation(A: np.ndarray, B: np.ndarray) -> PsdOrderVerdict:
     B = require_psd(B, "B")
     if A.shape != B.shape:
         raise ValueError(f"support_relation: dimension mismatch {A.shape} vs {B.shape}")
-    w, U = np.linalg.eigh(B)
-    band = ZERO_BAND * np.abs(w).max(initial=0.0)
-    kernel = U[:, w <= band]
+    return support_in_eigenbasis(A, *np.linalg.eigh(B))
+
+
+def support_in_eigenbasis(A: np.ndarray, w: np.ndarray, U: np.ndarray) -> PsdOrderVerdict:
+    """support_relation for validated A, B given the ascending eigh (w, U) of B."""
+    kernel = U[:, ~range_mask(w)]
     if kernel.shape[1] == 0:
         return PsdOrderVerdict(holds=True, margin=0.0)
     K = hermitian_part(kernel.conj().T @ A @ kernel)

@@ -20,21 +20,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .divergence import (
+    PreparedPair,
     SupportViolation,
     embed,
-    relative_spectrum,
-    restrict_pair,
+    prepare_pair,
     _block_chain,
 )
 from . import frechet, workers
 from .linalg import (
     ZERO_BAND,
+    eig_hermitian,
     hermitian_part,
-    matrix_log,
+    log_of,
+    positive_definite_spectrum,
     positive_part_stack,
     positive_eig_stack,
-    require_psd,
-    support_relation,
 )
 from .pencil import find_crossings
 
@@ -240,7 +240,6 @@ def adaptive_matrix_integral(
     b: float,
     tol: float,
     kinks: Sequence[float] = (),
-    vectorized: bool = False,
     max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Integrate a matrix-valued function over [a, b] to absolute tolerance tol.
@@ -252,75 +251,95 @@ def adaptive_matrix_integral(
     kinks become initial panel boundaries.  When the panel cap is reached
     the best value is returned flagged converged=False.
 
-    With vectorized=True, f receives a 1-d array of abscissae and must
-    return the stacked values, shape (m, ...); otherwise f maps one float
-    to one value.  f may be called from up to FRENKEL_THREADS threads at
-    once (see _initial_panels).
+    f maps one float to one value; it may be called from up to
+    FRENKEL_THREADS threads at once (see _initial_panels).
     """
     if not (a < b):
         raise ValueError(f"adaptive_matrix_integral: need a < b, got [{a!r}, {b!r}]")
     if tol <= 0:
         raise ValueError("adaptive_matrix_integral: tol must be positive")
-    fv = f if vectorized else (lambda xs: np.stack([np.asarray(f(float(x))) for x in xs]))
+    fv = lambda xs: np.stack([np.asarray(f(float(x))) for x in xs])
     return _adaptive(fv, float(a), float(b), float(tol), kinks=kinks, max_panels=max_panels)
 
 
-def _sigma_support(sigma: np.ndarray):
-    """Smallest and largest relative eigenvalue, clamped to [0, inf)."""
-    if sigma.size == 0:
-        return 0.0, 0.0
-    return float(max(sigma.min(), 0.0)), float(max(sigma.max(), 0.0))
+# The pencil of each form, built in place: one (m, n, n) temporary per
+# evaluation, with the same bits as A1 - g B1 (or u B1 - A1).  Each returns
+# the stack and the gamma (or clamped u) of each node.
+def _gamma_pencil(A1, B1, gs):
+    M = gs[:, None, None] * B1[None]
+    np.subtract(A1, M, out=M)
+    return M, gs
 
 
-def _term1_gamma(A1, B1, sigma, tol) -> Optional[QuadratureResult]:
-    """integral_1^inf gamma^-1 (A1 - gamma B1)_+ dgamma on its exact support."""
-    _, sigma_max = _sigma_support(sigma)
-    if sigma_max <= 1.0:
-        return None
-
-    def f(gs):
-        g = gs[:, None, None]
-        return positive_part_stack(A1[None] - g * B1[None]) / g
-
-    kinks = sigma[(sigma > 1.0) & (sigma < sigma_max)]
-    return _adaptive(f, 1.0, sigma_max, tol, kinks=kinks)
+def _u_pencil(A1, B1, us):
+    u = np.maximum(us, U_FLOOR)
+    M = u[:, None, None] * B1[None]
+    M -= A1
+    return M, u
 
 
-def _term2_u(A1, B1, sigma, tol) -> Optional[QuadratureResult]:
-    """integral_1^inf gamma^-2 (B1 - gamma A1)_+ dgamma, substituted u = 1/gamma.
+_PENCILS = {
+    "gamma": _gamma_pencil,
+    "u": _u_pencil,
+    "s": lambda A1, B1, ss: _gamma_pencil(A1, B1, 1.0 / (1.0 - ss)),
+}
 
-    The substituted integrand O_{1/u}(B1||A1) = (1/u)(u B1 - A1)_+ is
-    bounded by ||B1|| and vanishes identically below the smallest relative
-    eigenvalue, so the domain [max(sigma_min, 0), 1] is exact.
+
+def clipped_integral(pair: PreparedPair, form: str, integrand: Callable, tol: float) -> Optional[QuadratureResult]:
+    """One clipped-pencil integral of a prepared pair on its exact support.
+
+    form fixes the coordinate, its domain and the pencil:
+
+        "gamma"  gamma on [1, sigma_max],            A1 - gamma B1
+        "u"      u on [max(sigma_min, 0), 1],         u B1 - A1, u clamped at U_FLOOR
+        "s"      s on [0, 1 - 1/sigma_max],           A1 - gamma B1 at gamma = 1/(1-s)
+
+    Beyond these domains the clipped pencil vanishes, and the relative
+    eigenvalues sigma inside them, mapped to the coordinate, are the kinks.
+    integrand(M, c) maps the pencil stack and the gamma (or u) of each node
+    to the stacked values.  Returns None when the domain is empty.
     """
-    sigma_min, _ = _sigma_support(sigma)
-    u_lo = min(sigma_min, 1.0)
-    if u_lo >= 1.0:
+    sigma = pair.sigma
+    if form == "u":
+        a, b = float(max(sigma.min(), 0.0)), 1.0
+    else:
+        a, b = 1.0, float(max(sigma.max(), 0.0))
+    if a >= b:
         return None
+    kinks = sigma[(sigma > a) & (sigma < b)]
+    if form == "s":
+        a, b, kinks = 0.0, 1.0 - 1.0 / b, 1.0 - 1.0 / kinks
+    A1, B1, pencil = pair.A1, pair.B1, _PENCILS[form]
 
-    def f(us):
-        u = np.maximum(us, U_FLOOR)[:, None, None]
-        return positive_part_stack(u * B1[None] - A1[None]) / u
+    def f(xs):
+        return integrand(*pencil(A1, B1, xs))
 
-    kinks = sigma[(sigma > u_lo) & (sigma < 1.0)]
-    return _adaptive(f, u_lo, 1.0, tol, kinks=kinks)
-
-
-def _setup_pair(A, B):
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch {A.shape} vs {B.shape}")
-    sup = support_relation(A, B)
-    if not sup.holds:
-        raise SupportViolation("range(A) not contained in range(B): the integral diverges", sup.witness)
-    V, A1, B1 = restrict_pair(A, B)
-    sigma = relative_spectrum(A1, B1)
-    return V, A1, B1, sigma
+    return _adaptive(f, a, b, tol, kinks=kinks)
 
 
-def _combine(parts_list, shape, n, V, panel_maps) -> QuadratureResult:
-    total = np.zeros(shape, dtype=complex)
+def _clipped_over(M, c):
+    """The operator integrand c^-1 (M)_+ of the gamma and u forms."""
+    return positive_part_stack(M) / c[:, None, None]
+
+
+def _scalar_total(results) -> float:
+    """Sum of scalar integrals, skipping empty domains."""
+    total = 0.0
+    for r in results:
+        if r is not None:
+            total += float(r.value)
+    return total
+
+
+def _supported_pair(A, B) -> PreparedPair:
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
+        raise SupportViolation("range(A) not contained in range(B): the integral diverges", pair.support.witness)
+    return pair
+
+
+def _combine(pair: PreparedPair, parts_list, panel_maps) -> QuadratureResult:
+    total = np.zeros(pair.A1.shape, dtype=complex)
     err = 0.0
     evals = 0
     conv = True
@@ -333,7 +352,7 @@ def _combine(parts_list, shape, n, V, panel_maps) -> QuadratureResult:
         evals += res.evaluations
         conv = conv and res.converged
         panels.extend((pmap(iv), e) for iv, e in res.panels)
-    value = hermitian_part(embed(V, total, n))
+    value = hermitian_part(embed(pair.V, total, pair.A.shape[0]))
     return QuadratureResult(
         value=value,
         error_estimate=err,
@@ -355,17 +374,10 @@ def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratu
     are exact, so tail_bound is 0.  Panels of term 2 are logged in the
     gamma = 1/u coordinate, after term 1's.
     """
-    n = A.shape[0]
-    V, A1, B1, sigma = _setup_pair(A, B)
-    r1 = _term1_gamma(A1, B1, sigma, tol / 2)
-    r2 = _term2_u(A1, B1, sigma, tol / 2)
-    return _combine(
-        [r1, r2],
-        A1.shape,
-        n,
-        V,
-        [lambda iv: iv, lambda iv: (1.0 / iv[1], 1.0 / iv[0])],
-    )
+    pair = _supported_pair(A, B)
+    r1 = clipped_integral(pair, "gamma", _clipped_over, tol / 2)
+    r2 = clipped_integral(pair, "u", _clipped_over, tol / 2)
+    return _combine(pair, [r1, r2], [lambda iv: iv, lambda iv: (1.0 / iv[1], 1.0 / iv[0])])
 
 
 def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -381,22 +393,12 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
     in t coordinates; the piece-1 log ends at t = +inf and the piece-2 log
     starts at -inf.
     """
-    n = A.shape[0]
-    V, A1, B1, sigma = _setup_pair(A, B)
-    sigma_min, sigma_max = _sigma_support(sigma)
+    pair = _supported_pair(A, B)
+    A1, B1, sigma = pair.A1, pair.B1, pair.sigma
+    sigma_min = float(max(sigma.min(), 0.0))
 
-    r1 = None
-    if sigma_max > 1.0:
-        # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
-        s1 = 1.0 - 1.0 / sigma_max
-
-        def f1(ss):
-            g = 1.0 / (1.0 - ss)
-            gm = g[:, None, None]
-            return positive_part_stack(A1[None] - gm * B1[None]) * gm
-
-        inner = sigma[(sigma > 1.0) & (sigma < sigma_max)]
-        r1 = _adaptive(f1, 0.0, s1, tol / 2, kinks=1.0 - 1.0 / inner)
+    # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
+    r1 = clipped_integral(pair, "s", lambda M, g: positive_part_stack(M) * g[:, None, None], tol / 2)
 
     r2 = None
     map2 = lambda iv: iv
@@ -406,9 +408,8 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
             vmax = 1.0 / sigma_min - 1.0
 
             def f2(vs):
-                g = 1.0 + vs
-                gm = g[:, None, None]
-                return positive_part_stack(B1[None] - gm * A1[None]) / (gm * gm)
+                M, g = _gamma_pencil(B1, A1, 1.0 + vs)
+                return positive_part_stack(M) / (g * g)[:, None, None]
 
             inner = sigma[(sigma > sigma_min) & (sigma < 1.0)]
             r2 = _adaptive(f2, 0.0, vmax, tol / 2, kinks=1.0 / inner - 1.0)
@@ -418,8 +419,7 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
             # (B - gamma A)_+ is evaluated as gamma ((1-w) B - A)_+ to keep the
             # eigenproblem at the scale of the operands.
             def f2(ws):
-                om = np.maximum(1.0 - ws, U_FLOOR)[:, None, None]
-                return positive_part_stack(om * B1[None] - A1[None]) / om
+                return _clipped_over(*_u_pencil(A1, B1, 1.0 - ws))
 
             inner = sigma[(sigma > 0.0) & (sigma < 1.0)]
             r2 = _adaptive(f2, 0.0, 1.0, tol / 2, kinks=1.0 - inner)
@@ -434,7 +434,7 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
         t_lo = 1.0 / iv[1]
         return (t_lo, t_hi)
 
-    return _combine([r2, r1], A1.shape, n, V, [map2, map1_sorted])
+    return _combine(pair, [r2, r1], [map2, map1_sorted])
 
 
 def frenkel_trace(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -443,38 +443,12 @@ def frenkel_trace(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> flo
     Equals the trace divergence D(A||B); returns math.inf when support
     containment fails (both sides of the trace identity are infinite).
     """
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    if not support_relation(A, B).holds:
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
         return math.inf
-    _, A1, B1 = restrict_pair(A, B)
-    sigma = relative_spectrum(A1, B1)
-    sigma_min, sigma_max = _sigma_support(sigma)
-    total = 0.0
-
-    if sigma_max > 1.0:
-        s1 = 1.0 - 1.0 / sigma_max
-
-        def f1(ss):
-            g = 1.0 / (1.0 - ss)
-            vals = positive_eig_stack(A1[None] - g[:, None, None] * B1[None]).sum(axis=-1)
-            return vals * g
-
-        inner = sigma[(sigma > 1.0) & (sigma < sigma_max)]
-        total += float(_adaptive(f1, 0.0, s1, tol / 2, kinks=1.0 - 1.0 / inner).value)
-
-    if sigma_min < 1.0:
-        u_lo = max(sigma_min, 0.0)
-
-        def f2(us):
-            u = np.maximum(us, U_FLOOR)
-            vals = positive_eig_stack(u[:, None, None] * B1[None] - A1[None]).sum(axis=-1)
-            return vals / u
-
-        inner = sigma[(sigma > u_lo) & (sigma < 1.0)]
-        total += float(_adaptive(f2, u_lo, 1.0, tol / 2, kinks=inner).value)
-
-    return total
+    r1 = clipped_integral(pair, "s", lambda M, g: positive_eig_stack(M).sum(axis=-1) * g, tol / 2)
+    r2 = clipped_integral(pair, "u", lambda M, u: positive_eig_stack(M).sum(axis=-1) / u, tol / 2)
+    return _scalar_total([r1, r2])
 
 
 def _positive_proj_stack(mats: np.ndarray) -> np.ndarray:
@@ -507,53 +481,42 @@ class ProofChainIntegrals:
 
 def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProofChainIntegrals:
     """Evaluate the three integrals behind the divergence identity for PD A, B."""
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    sigma = relative_spectrum(A, B)
-    sigma_min, sigma_max = _sigma_support(sigma)
-    if sigma_min <= ZERO_BAND * max(sigma_max, 1.0):
+    pair = prepare_pair(A, B)
+    if not pair.support.holds or pair.V is not None:
+        raise ValueError("proof_chain_integrals: B must be positive definite")
+    A, B, sigma = pair.A, pair.B, pair.sigma
+    dec_a = eig_hermitian(A)
+    if not positive_definite_spectrum(dec_a.eigenvalues):
         raise ValueError("proof_chain_integrals: A must be positive definite")
+    sigma_min = float(max(sigma.min(), 0.0))
+    sigma_max = float(max(sigma.max(), 0.0))
     evals = 0
 
-    r1 = _term1_gamma(A, B, sigma, tol / 2)
-    r2 = _term2_u(A, B, sigma, tol / 2)
     u_val = np.zeros_like(A)
-    for r in (r1, r2):
+    for form in ("gamma", "u"):
+        r = clipped_integral(pair, form, _clipped_over, tol / 2)
         if r is not None:
             u_val = u_val + r.value
             evals += r.evaluations
     u_val = hermitian_part(u_val)
 
-    # v = integral_1^gamma_max B {A - gamma B > 0} dgamma (zero beyond).
-    if sigma_max > 1.0:
-
-        def fv(gs):
-            proj = _positive_proj_stack(A[None] - gs[:, None, None] * B[None])
-            return B[None] @ proj
-
-        kinks = sigma[(sigma > 1.0) & (sigma < sigma_max)]
-        rv = _adaptive(fv, 1.0, sigma_max, tol / 2, kinks=kinks)
-        v_val = rv.value
-        evals += rv.evaluations
-    else:
-        v_val = np.zeros_like(A)
-
+    # v = integral_1^gamma_max B {A - gamma B > 0} dgamma (zero beyond), and
     # w = integral_1^inf gamma^-2 B {B - gamma A > 0} dgamma, u-substituted;
     # the projection is scale-invariant so {B - A/u > 0} = {u B - A > 0}.
-    if sigma_min < 1.0:
+    def b_proj(M, c):
+        return B[None] @ _positive_proj_stack(M)
 
-        def fw(us):
-            proj = _positive_proj_stack(np.maximum(us, U_FLOOR)[:, None, None] * B[None] - A[None])
-            return B[None] @ proj
-
-        kinks = sigma[(sigma > sigma_min) & (sigma < 1.0)]
-        rw = _adaptive(fw, sigma_min, 1.0, tol / 2, kinks=kinks)
+    v_val = w_val = np.zeros_like(A)
+    rv = clipped_integral(pair, "gamma", b_proj, tol / 2)
+    if rv is not None:
+        v_val = rv.value
+        evals += rv.evaluations
+    rw = clipped_integral(pair, "u", b_proj, tol / 2)
+    if rw is not None:
         w_val = rw.value
         evals += rw.evaluations
-    else:
-        w_val = np.zeros_like(A)
 
-    chain = _block_chain(A, B)
+    chain = _block_chain(A, B, pair.b1_decomposition)
     residual_chain = float(np.linalg.norm(u_val + v_val - w_val - chain, 2))
 
     # log A - log B = integral_1^Gamma ({A - gamma B > 0} - {B - gamma A > 0}) dgamma/gamma.
@@ -574,7 +537,7 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
         log_diff_int = hermitian_part(rd.value)
     else:
         log_diff_int = np.zeros_like(A)
-    residual_log = float(np.linalg.norm(log_diff_int - (matrix_log(A) - matrix_log(B)), 2))
+    residual_log = float(np.linalg.norm(log_diff_int - (log_of(dec_a) - log_of(pair.b1_decomposition)), 2))
 
     # dlog at A in direction B: integral_0^gamma2 {B - gamma A > 0} dgamma.
     def fp(gs):
@@ -583,7 +546,7 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     kinks = (1.0 / sigma)[(1.0 / sigma > 0.0) & (1.0 / sigma < gamma2)]
     rp = _adaptive(fp, 0.0, gamma2, tol / 2, kinks=kinks)
     evals += rp.evaluations
-    residual_dlog = float(np.linalg.norm(hermitian_part(rp.value) - frechet.dlog(A, B), 2))
+    residual_dlog = float(np.linalg.norm(hermitian_part(rp.value) - frechet.dlog_in(dec_a, B), 2))
 
     return ProofChainIntegrals(
         u=u_val,
@@ -615,12 +578,10 @@ class GrowthRecord:
 
 def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float], tol: float = DEFAULT_TOL) -> GrowthRecord:
     """Witness the logarithmic divergence of the integral for unsupported pairs."""
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    sup = support_relation(A, B)
-    if sup.holds:
+    pair = prepare_pair(A, B)
+    if pair.support.holds:
         raise ValueError("divergence_probe: pair has support containment; the integral is finite")
-    x = sup.witness
+    A, B, x = pair.A, pair.B, pair.support.witness
     witness_mass = float((x.conj() @ A @ x).real)
     ts = np.sort(np.asarray(list(checkpoints), dtype=float))
     if ts.size == 0 or ts[0] <= 1.0:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .divergence import restrict_pair, embed
-from .linalg import ZERO_BAND, hermitian_part, opnorm, require_psd
+from .linalg import ZERO_BAND, hermitian_part, opnorm, positive_definite_spectrum, require_psd
 from .quadrature import QuadratureResult, _adaptive
 
 _S_CUT = 1.0 - 1e-12
@@ -47,7 +47,7 @@ def _x_cut(c: float) -> float:
 def _check_pd(B: np.ndarray, name: str) -> np.ndarray:
     B = hermitian_part(np.asarray(B, dtype=complex))
     w = np.linalg.eigvalsh(B)
-    if w.min() <= ZERO_BAND * np.abs(w).max(initial=0.0):
+    if not positive_definite_spectrum(w):
         raise ValueError(f"{name} must be positive definite (min eigenvalue {w.min():.6e})")
     return B
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frechet
-from .divergence import delta_operator, relative_spectrum, restrict_pair
+from .divergence import delta_operator, prepare_pair
 from .io import write_csv
-from .linalg import hermitian_part, random_unitary, require_psd, schatten_norm, support_relation
-from .quadrature import U_FLOOR, _adaptive
+from .linalg import hermitian_part, random_unitary, schatten_norm
+from .quadrature import _scalar_total, clipped_integral
 
 LAWS = ("power", "geom")
 SIGN_PATTERNS = ("pos", "alt", "seeded")
@@ -189,39 +189,16 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
 
     finite by construction at finite dimension; inf when support fails.
     """
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
+    pair = prepare_pair(A, B)
     if not (p >= 1):
         raise ValueError("budget_e_p: p must be >= 1 or inf")
-    if not support_relation(A, B).holds:
+    if not pair.support.holds:
         return math.inf
-    _, A1, B1 = restrict_pair(A, B)
-    sigma = relative_spectrum(A1, B1)
-    sigma_min = float(max(sigma.min(), 0.0))
-    sigma_max = float(sigma.max())
-    total = 0.0
-    if sigma_max > 1.0:
 
-        def f1(gs):
-            # The pencil stack is built in place: one (15, N, N) temporary
-            # instead of two, with the same bits as A1 - g B1.
-            M = gs[:, None, None] * B1[None]
-            np.subtract(A1, M, out=M)
-            return _pnorm_rows(_clipped_eigs(M), p) / gs
+    def pnorm_over(M, c):
+        return _pnorm_rows(_clipped_eigs(M), p) / c
 
-        kinks = sigma[(sigma > 1.0) & (sigma < sigma_max)]
-        total += float(_adaptive(f1, 1.0, sigma_max, tol, kinks=kinks).value)
-    if sigma_min < 1.0:
-
-        def f2(us):
-            u = np.maximum(us, U_FLOOR)
-            M = u[:, None, None] * B1[None]
-            M -= A1
-            return _pnorm_rows(_clipped_eigs(M), p) / u
-
-        kinks = sigma[(sigma > sigma_min) & (sigma < 1.0)]
-        total += float(_adaptive(f2, sigma_min, 1.0, tol, kinks=kinks).value)
-    return total
+    return _scalar_total([clipped_integral(pair, form, pnorm_over, tol) for form in ("gamma", "u")])
 
 
 def _power_of_two_grid(N: int) -> np.ndarray:

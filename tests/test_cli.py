@@ -107,6 +107,19 @@ class TestVerify:
         skipped = {it["name"] for it in report["items"] if it.get("skipped")}
         assert "log_resolvent_oracle" in skipped
 
+    def test_ill_conditioned_pd_pair_reports_every_item(self, tmp_path):
+        # sigma spans 2.2e-8 .. 6.0e7, yet A and B are each PD on their own
+        # spectra: the chain items run and the pair ends in a full report.
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "r.json"
+        main(["gen", "--seed", "3", "--dim", "3", "--cond", "1e8", "-o", str(pair)])
+        assert main(["verify", "-i", str(pair), "-o", str(out)]) == 1
+        items = json.loads(out.read_text())["items"]
+        assert len(items) == 19
+        for it in items:
+            assert not it["skipped"] and isinstance(it["residual"], float), it["name"]
+        assert {it["name"]: it["pass"] for it in items}["chain_identity"]
+
     def test_identity_failure_exits_one(self, tmp_path, monkeypatch):
         pair = tmp_path / "pair.json"
         main(["gen", "--seed", "1", "--dim", "3", "-o", str(pair)])

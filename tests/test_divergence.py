@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from frenkel import divergence, linalg
-from frenkel.divergence import delta_operator, o_gamma, trace_divergence
+from frenkel import divergence, linalg, quadrature, schatten
+from frenkel.divergence import delta_operator, o_gamma, prepare_pair, trace_divergence
 from util import rand_pd, rand_psd, supported_singular_pair, unsupported_pair
 
 
@@ -160,3 +161,85 @@ class TestDominationTau:
         tau = divergence.domination_tau(A, B)
         assert linalg.psd_order(A, B, tau * (1 + 1e-9)).holds
         assert not linalg.psd_order(A, B, tau * (1 - 1e-6)).holds
+
+
+ROUTES = {
+    "delta_operator": divergence.delta_operator,
+    "trace_divergence": divergence.trace_divergence,
+    "domination_tau": divergence.domination_tau,
+    "rhs_frg1": lambda A, B: quadrature.rhs_frg1(A, B, 1e-8),
+    "rhs_frg": lambda A, B: quadrature.rhs_frg(A, B, 1e-8),
+    "frenkel_trace": lambda A, B: quadrature.frenkel_trace(A, B, 1e-8),
+    "budget_e_p": lambda A, B: schatten.budget_e_p(A, B, 2.0),
+    "proof_chain_integrals": lambda A, B: quadrature.proof_chain_integrals(A, B, 1e-8),
+}
+
+
+def _count_setup(monkeypatch, B):
+    """Count require_psd calls, and the eigh/eigvalsh calls that get B itself."""
+    calls = {"require_psd": 0, "lapack_on_b": 0}
+    real_require = linalg.require_psd
+
+    def require(*args, **kwargs):
+        calls["require_psd"] += 1
+        return real_require(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frenkel") and getattr(module, "require_psd", None) is real_require:
+            monkeypatch.setattr(module, "require_psd", require)
+    b_bytes = B.tobytes()
+    for fname in ("eigh", "eigvalsh"):
+
+        def lapack(M, *args, _real=getattr(np.linalg, fname), **kwargs):
+            M_arr = np.asarray(M)
+            if M_arr.shape == B.shape and M_arr.dtype == B.dtype and M_arr.tobytes() == b_bytes:
+                calls["lapack_on_b"] += 1
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fname, lapack)
+    return calls
+
+
+class TestPreparedPair:
+    @pytest.mark.parametrize("kind", ["pd", "singular_b"])
+    def test_each_route_sets_up_the_pair_once(self, monkeypatch, kind):
+        monkeypatch.setenv("FRENKEL_THREADS", "1")
+        rng = np.random.default_rng(85)
+        if kind == "pd":
+            A, B = rand_pd(rng, 8), rand_pd(rng, 8)
+        else:
+            A, B = supported_singular_pair(rng, 8, corank=2)
+        calls = _count_setup(monkeypatch, B)
+        for name, route in ROUTES.items():
+            if kind == "singular_b" and name == "proof_chain_integrals":
+                continue
+            calls.update(require_psd=0, lapack_on_b=0)
+            route(A, B)
+            # One validation per operand; B reaches LAPACK once for the PSD
+            # check (eigvalsh) and once for support and restriction (eigh).
+            assert calls == {"require_psd": 2, "lapack_on_b": 2}, name
+
+    def test_matches_the_standalone_steps(self):
+        rng = np.random.default_rng(86)
+        pairs = [(rand_pd(rng, 5), rand_pd(rng, 5)), supported_singular_pair(rng, 6, corank=2)]
+        for A, B in pairs:
+            pair = prepare_pair(A, B)
+            assert pair.support.holds and linalg.support_relation(A, B).holds
+            V, A1, B1 = divergence.restrict_pair(A, B)
+            assert (pair.V is None) == (V is None)
+            if V is not None:
+                assert pair.V.tobytes() == V.tobytes()
+            assert pair.A1.tobytes() == A1.tobytes() and pair.B1.tobytes() == B1.tobytes()
+            assert pair.sigma.tobytes() == divergence.relative_spectrum(A1, B1).tobytes()
+            dec = linalg.eig_hermitian(B1)
+            assert pair.b1_decomposition.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+            assert pair.b1_decomposition.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+
+    def test_unsupported_pair_carries_the_witness(self):
+        rng = np.random.default_rng(87)
+        A, B = unsupported_pair(rng, 5)
+        pair = prepare_pair(A, B)
+        want = linalg.support_relation(A, B)
+        assert not pair.support.holds
+        assert pair.support.witness.tobytes() == want.witness.tobytes()
+        assert pair.V is None and pair.A1 is None and pair.B1 is None

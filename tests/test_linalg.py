@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frenkel import linalg
+from frenkel import cli, divergence, frechet, linalg, resolvent
 from util import rand_herm, rand_pd
 
 H0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
@@ -160,6 +160,36 @@ class TestMatrixLog:
     def test_non_pd_reports_min_eigenvalue(self):
         with pytest.raises(ValueError, match="min eigenvalue"):
             linalg.matrix_log(np.diag([1.0, -0.5]).astype(complex))
+
+
+class TestDefiniteness:
+    def test_zero_band_edge(self):
+        assert linalg.positive_definite_spectrum(np.array([2e-12, 1.0]))
+        assert not linalg.positive_definite_spectrum(np.array([1e-12, 1.0]))
+        assert not linalg.positive_definite_spectrum(np.array([-1e-3, 1.0]))
+
+    def test_every_pd_check_agrees(self):
+        def verify_gate(M):
+            item = dict(cli._suite_items(M, M, 1e-8, cli._PairMemo()))["pairing_trace"]
+            if item().get("skipped"):
+                raise ValueError("item skipped: B not PD")
+
+        checks = [
+            linalg.matrix_log,
+            lambda M: frechet.dlog(M, M),
+            lambda M: frechet.dlog_fd_oracle(M, M),
+            lambda M: divergence.relative_spectrum(M, M),
+            lambda M: resolvent._check_pd(M, "B"),
+            verify_gate,
+        ]
+        for edge, pd in ((2e-12, True), (5e-13, False)):
+            M = np.diag([1.0, edge]).astype(complex)
+            for check in checks:
+                if pd:
+                    check(M)
+                else:
+                    with pytest.raises(ValueError):
+                        check(M)
 
 
 class TestSchattenNorm:

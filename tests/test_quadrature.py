@@ -6,7 +6,14 @@ import pytest
 
 from frenkel import linalg, quadrature, schatten, workers
 from frenkel.schatten import CompactModel
-from frenkel.divergence import SupportViolation, delta_operator, relative_spectrum, restrict_pair, trace_divergence
+from frenkel.divergence import (
+    SupportViolation,
+    delta_operator,
+    prepare_pair,
+    relative_spectrum,
+    restrict_pair,
+    trace_divergence,
+)
 from frenkel.quadrature import (
     adaptive_matrix_integral,
     divergence_probe,
@@ -241,6 +248,66 @@ class TestProofChain:
         with pytest.raises(ValueError):
             proof_chain_integrals(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex), 1e-8)
 
+    def test_rejects_singular_b(self):
+        for A in (np.diag([1.0, 0.0]), np.eye(2)):
+            with pytest.raises(ValueError, match="B must be positive definite"):
+                proof_chain_integrals(A.astype(complex), np.diag([1.0, 0.0]).astype(complex), 1e-8)
+
+    def test_definiteness_is_read_off_a_itself(self):
+        # sigma spans 1e-7 .. 1e7: far wider than the zero band allows one
+        # spectrum, though A and B are each well inside the PD cone.
+        A = np.diag([1e-7, 1.0]).astype(complex)
+        B = np.diag([1.0, 1e-7]).astype(complex)
+        pc = proof_chain_integrals(A, B, 1e-8)
+        want = np.diag([1e-7 * math.log(1e-7), -math.log(1e-7)])
+        assert np.linalg.norm(pc.u + pc.v - pc.w - want, 2) <= 1e-7 * np.linalg.norm(want, 2)
+
+
+class TestClippedIntegral:
+    """The three pencil forms of the shared core, on their exact domains."""
+
+    @staticmethod
+    def pair_straddling_one():
+        rng = np.random.default_rng(151)
+        while True:
+            pair = prepare_pair(rand_pd(rng, 5), rand_pd(rng, 5))
+            if pair.sigma.min() < 1.0 < pair.sigma.max():
+                return pair
+
+    def test_domains_kinks_and_pencils(self):
+        pair = self.pair_straddling_one()
+        A1, B1, sigma = pair.A1, pair.B1, pair.sigma
+        lo, hi = float(sigma.min()), float(sigma.max())
+        inner = sigma[(sigma > 1.0) & (sigma < hi)]
+        forms = {
+            "gamma": ((1.0, hi), inner, lambda c: A1[None] - c[:, None, None] * B1[None]),
+            "u": ((lo, 1.0), sigma[(sigma > lo) & (sigma < 1.0)], lambda c: c[:, None, None] * B1[None] - A1[None]),
+            "s": ((0.0, 1.0 - 1.0 / hi), 1.0 - 1.0 / inner, lambda c: A1[None] - c[:, None, None] * B1[None]),
+        }
+        for form, ((a, b), kinks, pencil) in forms.items():
+            seen = []
+
+            def ones(M, c):
+                seen.append(float(np.abs(M - pencil(c)).max()))
+                return np.ones(len(c))
+
+            r = quadrature.clipped_integral(pair, form, ones, 1e-10)
+            edges = {x for iv, _ in r.panels for x in iv}
+            assert r.panels[0][0][0] == a and r.panels[-1][0][1] == b, form
+            assert set(kinks.tolist()) <= edges, form
+            assert float(r.value) == pytest.approx(b - a, rel=1e-13), form
+            assert max(seen) == 0.0, form
+
+    def test_empty_domains(self):
+        rng = np.random.default_rng(152)
+        B = rand_pd(rng, 4)
+        above = prepare_pair(2.0 * B, B)  # sigma = 2: nothing below 1
+        below = prepare_pair(0.5 * B, B)  # sigma = 1/2: nothing above 1
+        ones = lambda M, c: np.ones(len(c))
+        assert quadrature.clipped_integral(above, "u", ones, 1e-8) is None
+        assert quadrature.clipped_integral(below, "gamma", ones, 1e-8) is None
+        assert quadrature.clipped_integral(below, "s", ones, 1e-8) is None
+
 
 class TestDivergenceProbe:
     def test_log_growth_unit_mass(self):
@@ -321,7 +388,6 @@ def _record_quadratures(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature, "_adaptive", recording)
-    monkeypatch.setattr(schatten, "_adaptive", recording)
     return seen
 
 
