@@ -204,7 +204,8 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
         if not both_pd:
             return {"skipped": True}
         pc = memo(proof_chain_integrals, A, B, tol)
-        return {"residual": pc.residual_chain, "threshold": 10 * tol}
+        u = memo(rhs_frg1, A, B, tol).value
+        return {"residual": float(np.linalg.norm(u + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
 
     def log_difference_representation():
         if not both_pd:

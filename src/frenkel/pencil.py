@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import _relative_spectrum
 from .io import write_csv
-from .linalg import ZERO_BAND, hermitian_part, opnorm, parts, schatten_norm
+from .linalg import ZERO_BAND, hermitian_part, opnorm, parts, positive_definite_spectrum, schatten_norm
 
 GENERALIZED_EIG = "generalized_eig"
 SIGN_SCAN = "sign_scan"
 
-# B counts as definite enough for the generalized-eigenvalue route when its
-# smallest eigenvalue clears this fraction of its norm.
-_PD_CUTOFF = 1e-10
 _SCAN_POINTS = 256
 _BISECT_TOL = 1e-10
 
@@ -73,7 +71,8 @@ def find_crossings(
 ) -> PencilCrossings:
     """Real crossing set of the pencil A - gamma B inside a finite interval.
 
-    For definite B the crossings are exactly the eigenvalues of
+    For B positive definite by linalg.positive_definite_spectrum the
+    crossings are exactly the relative spectrum, the eigenvalues of
     B^{-1/2} A B^{-1/2} (the pencil is singular precisely there); otherwise
     a 256-point sign scan of the sorted branches is refined by bisection,
     with identically-zero branches excluded.  method forces one route
@@ -86,16 +85,12 @@ def find_crossings(
         raise ValueError(f"find_crossings: interval must be finite and increasing, got {interval!r}")
     if method not in (None, GENERALIZED_EIG, SIGN_SCAN):
         raise ValueError(f"find_crossings: unknown method {method!r}")
-    wB = np.linalg.eigvalsh(B)
-    b_norm = np.abs(wB).max(initial=0.0)
-    definite = b_norm > 0 and wB.min() > _PD_CUTOFF * b_norm
+    w, U = np.linalg.eigh(B)
+    definite = positive_definite_spectrum(w)
     if method == GENERALIZED_EIG and not definite:
         raise ValueError("find_crossings: generalized_eig route needs definite B")
     if definite and method != SIGN_SCAN:
-        w, U = np.linalg.eigh(B)
-        inv_sqrt = U * (1.0 / np.sqrt(w))
-        S = hermitian_part(inv_sqrt.conj().T @ A @ inv_sqrt)
-        gen = np.linalg.eigvalsh(S)
+        gen = _relative_spectrum(A, w, U)
         inside = gen[(gen >= lo) & (gen <= hi)]
         return PencilCrossings(crossings=np.sort(inside), method=GENERALIZED_EIG)
 
@@ -164,17 +159,6 @@ def araki_check(T1: np.ndarray, T2: np.ndarray) -> tuple[float, float]:
     a1 = parts(T1).absolute_value
     a2 = parts(T2).absolute_value
     return schatten_norm(a1 - a2, 2), schatten_norm(T1 - T2, 2)
-
-
-def decomposability_diagnostic(A: np.ndarray, B: np.ndarray) -> tuple[float, bool]:
-    """Commutator norm ||AB - BA|| and whether the pencil splits into
-    scalar branches (commuting coefficients) at working precision."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    comm = A @ B - B @ A
-    norm = float(np.linalg.norm(comm, 2))
-    scale = max(opnorm(A) * opnorm(B), 1e-300)
-    return norm, norm <= ZERO_BAND * scale
 
 
 def write_eigencurves_csv(path_or_file, grid: np.ndarray, curves: np.ndarray) -> None:

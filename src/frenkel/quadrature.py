@@ -461,98 +461,73 @@ def _positive_proj_stack(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProofChainIntegrals:
-    """The three projection-weighted integrals u, v, w with
+    """The two projection-weighted integrals v, w and the chain with
 
-        A (log A - log B) = u + v - w
+        A (log A - log B) = u + v - w,   chain = A (log A - log B)
 
-    plus the residuals of that identity and of the two supporting integral
-    representations (the log difference as a projection integral, and the
-    derivative of log at A in direction B as integral_0^inf {B - gamma A > 0}).
+    where u is the gamma-form integral, rhs_frg1(A, B), plus the residuals
+    of the two supporting integral representations (the log difference as a
+    projection integral, and the derivative of log at A in direction B as
+    integral_0^inf {B - gamma A > 0}).
     """
 
-    u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    residual_chain: float
+    chain: np.ndarray
     residual_log_difference: float
     residual_dlog_representation: float
     evaluations: int
 
 
 def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProofChainIntegrals:
-    """Evaluate the three integrals behind the divergence identity for PD A, B."""
+    """Evaluate the integrals behind the divergence identity for PD A, B.
+
+    Every integral is a projection integral of the gamma form on
+    [1, sigma_max] ({A - gamma B > 0}) or of the u form on [sigma_min, 1]
+    ({u B - A > 0} = {B - A/u > 0}, the projection being scale-invariant),
+    each on its own panel tree:
+
+        v                 = integral_1^inf B {A - gamma B > 0} dgamma
+        w                 = integral_1^inf gamma^-2 B {B - gamma A > 0} dgamma
+        log A - log B     = gamma[P/gamma] - u[P/u]
+        dlog(A)[B]        = I - gamma[P/gamma^2] + u[P/u^2]
+
+    The last splits integral_0^inf {B - gamma A > 0} at gamma = 1; on
+    [0, 1] the projection is I - {A - B/gamma > 0} away from the kinks.
+    """
     pair = prepare_pair(A, B)
     if not pair.support.holds or pair.V is not None:
         raise ValueError("proof_chain_integrals: B must be positive definite")
-    A, B, sigma = pair.A, pair.B, pair.sigma
+    A, B = pair.A, pair.B
     dec_a = eig_hermitian(A)
     if not positive_definite_spectrum(dec_a.eigenvalues):
         raise ValueError("proof_chain_integrals: A must be positive definite")
-    sigma_min = float(max(sigma.min(), 0.0))
-    sigma_max = float(max(sigma.max(), 0.0))
     evals = 0
 
-    u_val = np.zeros_like(A)
-    for form in ("gamma", "u"):
-        r = clipped_integral(pair, form, _clipped_over, tol / 2)
-        if r is not None:
-            u_val = u_val + r.value
-            evals += r.evaluations
-    u_val = hermitian_part(u_val)
+    def integral(form, integrand):
+        nonlocal evals
+        r = clipped_integral(pair, form, integrand, tol / 2)
+        if r is None:
+            return np.zeros_like(A)
+        evals += r.evaluations
+        return r.value
 
-    # v = integral_1^gamma_max B {A - gamma B > 0} dgamma (zero beyond), and
-    # w = integral_1^inf gamma^-2 B {B - gamma A > 0} dgamma, u-substituted;
-    # the projection is scale-invariant so {B - A/u > 0} = {u B - A > 0}.
-    def b_proj(M, c):
-        return B[None] @ _positive_proj_stack(M)
+    b_proj = lambda M, c: B[None] @ _positive_proj_stack(M)
+    over = lambda M, c: _positive_proj_stack(M) / c[:, None, None]
+    over2 = lambda M, c: _positive_proj_stack(M) / (c * c)[:, None, None]
+    v = integral("gamma", b_proj)
+    w = integral("u", b_proj)
 
-    v_val = w_val = np.zeros_like(A)
-    rv = clipped_integral(pair, "gamma", b_proj, tol / 2)
-    if rv is not None:
-        v_val = rv.value
-        evals += rv.evaluations
-    rw = clipped_integral(pair, "u", b_proj, tol / 2)
-    if rw is not None:
-        w_val = rw.value
-        evals += rw.evaluations
+    log_diff = hermitian_part(integral("gamma", over) - integral("u", over))
+    residual_log = float(np.linalg.norm(log_diff - (log_of(dec_a) - log_of(pair.b1_decomposition)), 2))
 
-    chain = _block_chain(A, B, pair.b1_decomposition)
-    residual_chain = float(np.linalg.norm(u_val + v_val - w_val - chain, 2))
-
-    # log A - log B = integral_1^Gamma ({A - gamma B > 0} - {B - gamma A > 0}) dgamma/gamma.
-    gamma2 = 1.0 / sigma_min
-    Gamma = max(sigma_max, gamma2)
-    if Gamma > 1.0:
-
-        def fd(gs):
-            g = gs[:, None, None]
-            pa = _positive_proj_stack(A[None] - g * B[None])
-            pb = _positive_proj_stack(B[None] - g * A[None])
-            return (pa - pb) / g
-
-        both = np.concatenate([sigma, 1.0 / sigma])
-        kinks = both[(both > 1.0) & (both < Gamma)]
-        rd = _adaptive(fd, 1.0, Gamma, tol / 2, kinks=kinks)
-        evals += rd.evaluations
-        log_diff_int = hermitian_part(rd.value)
-    else:
-        log_diff_int = np.zeros_like(A)
-    residual_log = float(np.linalg.norm(log_diff_int - (log_of(dec_a) - log_of(pair.b1_decomposition)), 2))
-
-    # dlog at A in direction B: integral_0^gamma2 {B - gamma A > 0} dgamma.
-    def fp(gs):
-        return _positive_proj_stack(B[None] - gs[:, None, None] * A[None])
-
-    kinks = (1.0 / sigma)[(1.0 / sigma > 0.0) & (1.0 / sigma < gamma2)]
-    rp = _adaptive(fp, 0.0, gamma2, tol / 2, kinks=kinks)
-    evals += rp.evaluations
-    residual_dlog = float(np.linalg.norm(hermitian_part(rp.value) - frechet.dlog_in(dec_a, B), 2))
+    dlog = hermitian_part(np.eye(A.shape[0]) - integral("gamma", over2) + integral("u", over2))
+    residual_dlog = float(np.linalg.norm(dlog - frechet.dlog_in(dec_a, B), 2))
 
     return ProofChainIntegrals(
-        u=u_val,
-        v=v_val,
-        w=w_val,
-        residual_chain=residual_chain,
+        v=v,
+        w=w,
+        chain=_block_chain(A, B, pair.b1_decomposition),
         residual_log_difference=residual_log,
         residual_dlog_representation=residual_dlog,
         evaluations=evals,

@@ -88,13 +88,6 @@ def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return hermitian_part(value)
 
 
-def parts_resolvent(A: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """(A_+, A_-) derived from the resolvent form of |A|."""
-    absval = abs_resolvent(A, tol)
-    A = hermitian_part(np.asarray(A, dtype=complex))
-    return hermitian_part((absval + A) / 2), hermitian_part((absval - A) / 2)
-
-
 def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Derivative of log at B in direction A via the double-resolvent integral
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frenkel import linalg, pencil
-from frenkel.divergence import o_gamma
+from frenkel.divergence import o_gamma, relative_spectrum
 from util import rand_herm, rand_pd
 
 # 3x3 pencil with branches sqrt(1+z^2), 0, -sqrt(1+z^2): A + z * Bz.
@@ -92,6 +92,19 @@ class TestFindCrossings:
             rank_hi = int((np.linalg.eigvalsh(hi) > 1e-8).sum())
             assert rank_lo != rank_hi
 
+    def test_definiteness_is_the_package_zero_band(self):
+        # B's smallest eigenvalue is 1e-11 of its norm: inside the PD cone by
+        # linalg.positive_definite_spectrum, so the generalized eigenvalues
+        # give the crossings.
+        rng = np.random.default_rng(96)
+        A = rand_herm(rng, 3)
+        B = np.diag([1.0, 0.5, 1e-11]).astype(complex)
+        got = pencil.find_crossings(A, B, (-3.0, 3.0))
+        assert got.method == pencil.GENERALIZED_EIG
+        sigma = relative_spectrum(A, B)
+        assert np.array_equal(got.crossings, np.sort(sigma[(sigma >= -3.0) & (sigma <= 3.0)]))
+        assert got.crossings.size
+
     def test_infinite_interval_rejected(self):
         with pytest.raises(ValueError):
             pencil.find_crossings(A_EX, B_EX, (0.0, math.inf))
@@ -161,21 +174,6 @@ class TestContinuityAcrossCrossings:
             T2 = A - (g + 1e-6) * B
             lhs, rhs = pencil.kato_continuity_check(T1, T2)
             assert lhs <= rhs * (1 + 1e-9)
-
-
-class TestDiagnostics:
-    def test_commuting_pencil_decomposable(self):
-        rng = np.random.default_rng(100)
-        U = linalg.random_unitary(4, rng)
-        A = linalg.hermitian_part((U * np.array([3.0, 1.0, -1.0, 0.5])) @ U.conj().T)
-        B = linalg.hermitian_part((U * np.array([1.0, 2.0, 0.5, 4.0])) @ U.conj().T)
-        norm, flag = pencil.decomposability_diagnostic(A, B)
-        assert flag and norm <= 1e-12 * linalg.opnorm(A) * linalg.opnorm(B)
-
-    def test_generic_pair_not_decomposable(self):
-        rng = np.random.default_rng(101)
-        norm, flag = pencil.decomposability_diagnostic(rand_herm(rng, 4), rand_herm(rng, 4))
-        assert not flag and norm > 1e-6
 
 
 class TestCsv:

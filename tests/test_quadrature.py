@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -216,13 +217,19 @@ class TestFrenkelTrace:
         assert frenkel_trace(A, B) == math.inf
 
 
+def _chain_residual(pc, A, B, tol):
+    """||u + v - w - A(log A - log B)|| with u from rhs_frg1, as verify takes it."""
+    u = rhs_frg1(A, B, tol).value
+    return float(np.linalg.norm(u + pc.v - pc.w - pc.chain, 2))
+
+
 class TestProofChain:
     def test_equal_pair_reduces(self):
         rng = np.random.default_rng(141)
         B = rand_pd(rng, 3)
         pc = proof_chain_integrals(B, B, 1e-8)
-        assert linalg.opnorm(pc.u) <= 1e-10
-        assert pc.residual_chain <= 1e-7
+        assert linalg.opnorm(rhs_frg1(B, B, 1e-8).value) <= 1e-10
+        assert _chain_residual(pc, B, B, 1e-8) <= 1e-7
         assert pc.residual_log_difference <= 1e-7
 
     def test_commuting_diagonal(self):
@@ -231,7 +238,7 @@ class TestProofChain:
         pc = proof_chain_integrals(A, B, 1e-8)
         # closed forms: u + v - w = A log A - A log B = diag(a log a - a log b)
         want = np.diag([2 * math.log(2), 0.5 * math.log(0.5)])
-        assert np.linalg.norm(pc.u + pc.v - pc.w - want, 2) <= 1e-7
+        assert np.linalg.norm(rhs_frg1(A, B, 1e-8).value + pc.v - pc.w - want, 2) <= 1e-7
 
     def test_random_identity(self):
         rng = np.random.default_rng(142)
@@ -240,7 +247,7 @@ class TestProofChain:
             A = rand_pd(rng, 3)
             B = rand_pd(rng, 3)
             pc = proof_chain_integrals(A, B, tol)
-            assert pc.residual_chain <= 10 * tol
+            assert _chain_residual(pc, A, B, tol) <= 10 * tol
             assert pc.residual_log_difference <= 10 * tol
             assert pc.residual_dlog_representation <= 10 * tol
 
@@ -260,7 +267,50 @@ class TestProofChain:
         B = np.diag([1.0, 1e-7]).astype(complex)
         pc = proof_chain_integrals(A, B, 1e-8)
         want = np.diag([1e-7 * math.log(1e-7), -math.log(1e-7)])
-        assert np.linalg.norm(pc.u + pc.v - pc.w - want, 2) <= 1e-7 * np.linalg.norm(want, 2)
+        u = rhs_frg1(A, B, 1e-8).value
+        assert np.linalg.norm(u + pc.v - pc.w - want, 2) <= 1e-7 * np.linalg.norm(want, 2)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([2.0, 1.5, 1.0], [1.0, 0.5, 1.0]),  # sigma >= 1: the u form is empty
+            ([0.5, 0.25, 3.0], [1.0, 0.5, 6.0]),  # sigma <= 1: the gamma form is empty
+            ([2.0, 0.5, 1.0], [2.0, 0.5, 1.0]),  # A = B: both are empty
+        ],
+    )
+    def test_commuting_closed_forms(self, a, b):
+        # For diagonal A, B: v = (A - B)_+, w = (B - A)_+, and the chain is
+        # diag(a log(a/b)).
+        tol = 1e-8
+        a, b = np.array(a), np.array(b)
+        A, B = np.diag(a).astype(complex), np.diag(b).astype(complex)
+        pc = proof_chain_integrals(A, B, tol)
+        assert np.linalg.norm(pc.v - np.diag(np.maximum(a - b, 0.0)), 2) <= 10 * tol
+        assert np.linalg.norm(pc.w - np.diag(np.maximum(b - a, 0.0)), 2) <= 10 * tol
+        assert np.linalg.norm(pc.chain - np.diag(a * np.log(a / b)), 2) <= 1e-13
+        assert pc.residual_log_difference <= 10 * tol
+        assert pc.residual_dlog_representation <= 10 * tol
+        assert _chain_residual(pc, A, B, tol) <= 10 * tol
+
+    def test_runs_on_projections_only(self, monkeypatch):
+        # Every chain integral is a projection integral: u, the one integral
+        # of positive parts, comes from rhs_frg1.
+        calls = []
+        real = linalg.positive_part_stack
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("frenkel") and getattr(module, "positive_part_stack", None) is real:
+                monkeypatch.setattr(module, "positive_part_stack", counting)
+        rng = np.random.default_rng(143)
+        A, B = rand_pd(rng, 4), rand_pd(rng, 4)
+        proof_chain_integrals(A, B, 1e-8)
+        assert calls == []
+        rhs_frg1(A, B, 1e-8)
+        assert calls
 
 
 class TestClippedIntegral:
@@ -401,7 +451,8 @@ class TestPanelFanOut:
         out.append((r.value.tobytes(), r.error_estimate, r.panels, r.evaluations))
         out.append(frenkel_trace(A, B, 1e-8))
         pc = proof_chain_integrals(A, B, 1e-8)
-        out.append((pc.u.tobytes(), pc.v.tobytes(), pc.w.tobytes(), pc.residual_chain, pc.residual_dlog_representation, pc.evaluations))
+        chain = np.linalg.norm(r.value + pc.v - pc.w - pc.chain, 2)
+        out.append((pc.v.tobytes(), pc.w.tobytes(), chain, pc.residual_log_difference, pc.residual_dlog_representation, pc.evaluations))
         return out
 
     def test_bitwise_equal_to_serial(self, monkeypatch):

@@ -53,14 +53,6 @@ class TestAbsResolvent:
             want = linalg.parts(H).absolute_value
             assert np.linalg.norm(resolvent.abs_resolvent(H, TOL) - want, 2) <= 10 * TOL
 
-    def test_derived_parts(self):
-        rng = np.random.default_rng(164)
-        H = rand_herm(rng, 4)
-        plus, minus = resolvent.parts_resolvent(H, TOL)
-        p = linalg.parts(H)
-        assert np.linalg.norm(plus - p.positive_part, 2) <= 10 * TOL
-        assert np.linalg.norm(minus - p.negative_part, 2) <= 10 * TOL
-
 
 class TestDlogResolvent:
     def test_identity_pair(self):

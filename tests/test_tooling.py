@@ -1,16 +1,23 @@
-"""Names the benchmark's tracer wraps by attribute must keep resolving.
+"""Names that code outside the test suite uses must keep resolving.
 
-perfbench/tracing.py replaces (module, attribute) pairs at run time, so a
-refactor that renames or deletes one of them breaks only the traced
-benchmark run; this test reads its target list and fails at once instead.
+perfbench/tracing.py replaces (module, attribute) pairs at run time, and the
+scripts under demos/ import the library's public names, so a refactor that
+renames or deletes one of them breaks only the traced benchmark run or a
+demo; these tests run them and fail at once instead.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_tracer_targets_resolve(monkeypatch):
@@ -25,3 +32,10 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_from_any_directory(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
