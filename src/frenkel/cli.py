@@ -23,15 +23,9 @@ from typing import Optional
 import numpy as np
 
 from . import frechet, pencil, resolvent, schatten, workers
-from .divergence import delta_operator
+from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
 from .io import json_ready, read_pair, write_csv, write_pair
-from .linalg import (
-    hermitian_part,
-    opnorm,
-    positive_definite_spectrum,
-    random_unitary,
-    support_relation,
-)
+from .linalg import hermitian_part, matrix_log, opnorm, parts, positive_definite_spectrum, random_unitary
 from .quadrature import (
     divergence_probe,
     frenkel_trace,
@@ -154,17 +148,19 @@ class _PairMemo:
         return value
 
 
-def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
+def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
     """The fixed list of (name, thunk); each thunk returns a result dict.
 
-    Items whose formulas need a definite operand (logs of B, the chain
-    integrals) are skipped for PSD-but-singular inputs; the restriction
-    route items cover those pairs.  Routes shared by several items go
-    through memo, looked up by module attribute when the item runs.
+    pair is prepared, with support containment holding.  The table at the
+    end states once whether an item needs B, or A and B, positive definite
+    (logs of B, the chain integrals); where the pair does not, its thunk
+    returns {"skipped": True}, and the restriction route items cover it.
+    Routes shared by several items go through memo, looked up by module
+    attribute when the item runs.
     """
-    a_pd = positive_definite_spectrum(np.linalg.eigvalsh(A))
-    b_pd = positive_definite_spectrum(np.linalg.eigvalsh(B))
-    both_pd = a_pd and b_pd
+    A, B = pair.A, pair.B
+    b_pd = pair.V is None  # B has full rank: its spectrum clears the zero band
+    both_pd = b_pd and positive_definite_spectrum(np.linalg.eigvalsh(A))
     scale_tr = max(1.0, abs(float(np.trace(A).real)))
 
     def main_identity():
@@ -189,74 +185,49 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
         }
 
     def pairing_trace():
-        if not b_pd:
-            return {"skipped": True}
         r1, _ = memo(frechet.trace_pairing_check, B, A)
         return {"residual": r1, "threshold": 1e-9 * scale_tr}
 
     def pairing_identity():
-        if not b_pd:
-            return {"skipped": True}
         _, r2 = memo(frechet.trace_pairing_check, B, A)
         return {"residual": r2, "threshold": 1e-10}
 
     def chain_identity():
-        if not both_pd:
-            return {"skipped": True}
         pc = memo(proof_chain_integrals, A, B, tol)
         u = memo(rhs_frg1, A, B, tol).value
         return {"residual": float(np.linalg.norm(u + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
 
     def log_difference_representation():
-        if not both_pd:
-            return {"skipped": True}
         pc = memo(proof_chain_integrals, A, B, tol)
         return {"residual": pc.residual_log_difference, "threshold": 10 * tol}
 
     def dlog_representation():
-        if not both_pd:
-            return {"skipped": True}
         pc = memo(proof_chain_integrals, A, B, tol)
         return {"residual": pc.residual_dlog_representation, "threshold": 10 * tol}
 
     def log_resolvent_oracle():
-        from .linalg import matrix_log
-
-        if not b_pd:
-            return {"skipped": True}
         return {
             "residual": float(np.linalg.norm(resolvent.log_resolvent(B, tol) - matrix_log(B), 2)),
             "threshold": 1e-6,
         }
 
     def abs_resolvent_oracle():
-        from .linalg import parts
-
         target = parts(A - B).absolute_value
         got = resolvent.abs_resolvent(A - B, tol)
         return {"residual": float(np.linalg.norm(got - target, 2)), "threshold": 1e-6}
 
     def dlog_resolvent_oracle():
-        if not b_pd:
-            return {"skipped": True}
         got = resolvent.dlog_resolvent(B, A, tol)
         return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-6}
 
     def dlog_fd_oracle():
-        if not b_pd:
-            return {"skipped": True}
         got = frechet.dlog_fd_oracle(B, A)
         return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-7}
 
     def bdlog_product_oracle():
-        from .divergence import embed, restrict_pair
-
         pr = resolvent.bdlog_product(A, B, tol)
-        V, A1, B1 = restrict_pair(A, B)
-        # On a full-rank B the restriction returns the operands unchanged,
-        # so the pair's shared dlog(B, A) is the same product.
-        dl = memo(frechet.dlog, B, A) if V is None else frechet.dlog(B1, A1)
-        target = embed(V, B1 @ dl, A.shape[0])
+        # On a full-rank B, (B1, A1) is (B, A): the dlog the other items share.
+        target = embed(pair.V, pair.B1 @ memo(frechet.dlog, pair.B1, pair.A1), A.shape[0])
         residual = float(np.linalg.norm(pr.value - target, 2))
         bound_excess = max(0.0, pr.value_norm - pr.bound * (1 + 1e-6) - tol)
         return {
@@ -267,11 +238,7 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
         }
 
     def alogdiff_oracle():
-        if not both_pd:
-            return {"skipped": True}
         li = resolvent.alogdiff_integral(A, B, tol)
-        from .divergence import _block_chain
-
         target = _block_chain(A, B)
         residual = float(np.linalg.norm(li.value - target, 2))
         excess = 0.0
@@ -292,34 +259,35 @@ def _suite_items(A: np.ndarray, B: np.ndarray, tol: float, memo: _PairMemo):
     def delta_psd():
         rep = memo(delta_operator, A, B)
         scale = max(opnorm(rep.delta), 1.0)
-        return {"residual": -rep.delta_min_eigenvalue, "threshold": 1e-8 * scale}
+        return {"residual": -rep.delta_min_eigenvalue, "threshold": DELTA_PSD_SLACK * scale}
 
     def quadrature_psd():
         r = memo(rhs_frg1, A, B, tol)
         min_eig = float(np.linalg.eigvalsh(r.value).min())
         return {"residual": -min_eig, "threshold": r.error_estimate + 1e-10}
 
-    return [
-        ("main_identity_gamma_form", main_identity),
-        ("form_equivalence", form_equivalence),
-        ("trace_formula", trace_formula),
-        ("trace_consistency", trace_consistency),
-        ("pairing_trace", pairing_trace),
-        ("pairing_identity", pairing_identity),
-        ("chain_identity", chain_identity),
-        ("log_difference_representation", log_difference_representation),
-        ("dlog_representation", dlog_representation),
-        ("log_resolvent_oracle", log_resolvent_oracle),
-        ("abs_resolvent_oracle", abs_resolvent_oracle),
-        ("dlog_resolvent_oracle", dlog_resolvent_oracle),
-        ("dlog_fd_oracle", dlog_fd_oracle),
-        ("bdlog_product_oracle", bdlog_product_oracle),
-        ("alogdiff_oracle", alogdiff_oracle),
-        ("kato_bound", kato_bound),
-        ("araki_bound", araki_bound),
-        ("delta_psd", delta_psd),
-        ("quadrature_psd", quadrature_psd),
+    table = [
+        ("main_identity_gamma_form", True, main_identity),
+        ("form_equivalence", True, form_equivalence),
+        ("trace_formula", True, trace_formula),
+        ("trace_consistency", True, trace_consistency),
+        ("pairing_trace", b_pd, pairing_trace),
+        ("pairing_identity", b_pd, pairing_identity),
+        ("chain_identity", both_pd, chain_identity),
+        ("log_difference_representation", both_pd, log_difference_representation),
+        ("dlog_representation", both_pd, dlog_representation),
+        ("log_resolvent_oracle", b_pd, log_resolvent_oracle),
+        ("abs_resolvent_oracle", True, abs_resolvent_oracle),
+        ("dlog_resolvent_oracle", b_pd, dlog_resolvent_oracle),
+        ("dlog_fd_oracle", b_pd, dlog_fd_oracle),
+        ("bdlog_product_oracle", True, bdlog_product_oracle),
+        ("alogdiff_oracle", both_pd, alogdiff_oracle),
+        ("kato_bound", True, kato_bound),
+        ("araki_bound", True, araki_bound),
+        ("delta_psd", True, delta_psd),
+        ("quadrature_psd", True, quadrature_psd),
     ]
+    return [(name, thunk if met else (lambda: {"skipped": True})) for name, met, thunk in table]
 
 
 def run_verification_suite(
@@ -333,9 +301,9 @@ def run_verification_suite(
     FRENKEL_THREADS) sizes the shared executor that the items, and the
     panel chunks of their quadratures, run on.
     """
-    sup = support_relation(A, B)
+    pair = prepare_pair(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
-    if not sup.holds:
+    if not pair.support.holds:
         record = divergence_probe(A, B, (10.0, 100.0, 1000.0, 10000.0), tol)
         slope_ok = record.slope >= 0.9 * record.witness_mass
         report["dichotomy"] = "divergent"
@@ -359,7 +327,7 @@ def run_verification_suite(
 
     report["dichotomy"] = "finite"
     memo = _PairMemo()
-    items = _suite_items(A, B, tol, memo)
+    items = _suite_items(pair, tol, memo)
     n_workers = threads if threads is not None else _threads()
 
     def run_one(item):

@@ -45,7 +45,8 @@ def eigencurves(A: np.ndarray, B: np.ndarray, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("eigencurves: empty grid")
-    mats = A[None, :, :] - grid[:, None, None] * B[None, :, :]
+    mats = grid[:, None, None] * B[None]
+    np.subtract(A, mats, out=mats)  # A - g B in place: one temporary, the same bits
     w = np.linalg.eigvalsh(mats)  # ascending per matrix
     return w[:, ::-1].T.copy()
 

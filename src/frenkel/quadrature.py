@@ -117,9 +117,9 @@ class QuadratureResult:
 
 
 def _err_norm(M: np.ndarray) -> float:
+    """np.linalg.norm(M, 2) of a matrix, its largest over a stack, |M| of a scalar."""
     M = np.asarray(M)
-    if M.ndim == 2:
-        # The operator norm, as np.linalg.norm(M, 2) computes it.
+    if M.ndim >= 2:
         return float(np.linalg.svd(M, compute_uv=False).max())
     return float(abs(M))
 
@@ -468,7 +468,9 @@ class ProofChainIntegrals:
     where u is the gamma-form integral, rhs_frg1(A, B), plus the residuals
     of the two supporting integral representations (the log difference as a
     projection integral, and the derivative of log at A in direction B as
-    integral_0^inf {B - gamma A > 0}).
+    integral_0^inf {B - gamma A > 0}).  evaluations counts the nodes of the
+    chain's three panel trees, converged ANDs their flags (an empty domain
+    counts as converged).
     """
 
     v: np.ndarray
@@ -477,15 +479,16 @@ class ProofChainIntegrals:
     residual_log_difference: float
     residual_dlog_representation: float
     evaluations: int
+    converged: bool
 
 
 def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProofChainIntegrals:
     """Evaluate the integrals behind the divergence identity for PD A, B.
 
     Every integral is a projection integral of the gamma form on
-    [1, sigma_max] ({A - gamma B > 0}) or of the u form on [sigma_min, 1]
-    ({u B - A > 0} = {B - A/u > 0}, the projection being scale-invariant),
-    each on its own panel tree:
+    [1, sigma_max] (P = {A - gamma B > 0}) or of the u form on
+    [sigma_min, 1] (P = {u B - A > 0} = {B - A/u > 0}, the projection being
+    scale-invariant):
 
         v                 = integral_1^inf B {A - gamma B > 0} dgamma
         w                 = integral_1^inf gamma^-2 B {B - gamma A > 0} dgamma
@@ -494,6 +497,12 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
 
     The last splits integral_0^inf {B - gamma A > 0} at gamma = 1; on
     [0, 1] the projection is I - {A - B/gamma > 0} away from the kinks.
+
+    P is computed once per node.  Three panel trees stack the terms of a
+    form, each to tol/2 in the largest operator norm over its terms:
+    gamma[B P, P/gamma, P/gamma^2], u[B P, P/u] and u[P/u^2].  The last,
+    about 1/sigma_min in size, hits MAX_PANELS first, so it runs alone: a
+    capped tree leaves every term on it unconverged.
     """
     pair = prepare_pair(A, B)
     if not pair.support.holds or pair.V is not None:
@@ -502,35 +511,36 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     dec_a = eig_hermitian(A)
     if not positive_definite_spectrum(dec_a.eigenvalues):
         raise ValueError("proof_chain_integrals: A must be positive definite")
-    evals = 0
+    results = []
 
-    def integral(form, integrand):
-        nonlocal evals
+    def integral(form, *powers, b_proj=True):
+        def integrand(M, c):
+            P = _positive_proj_stack(M)
+            return np.stack(([B[None] @ P] if b_proj else []) + [P / (c**k)[:, None, None] for k in powers], axis=1)
+
         r = clipped_integral(pair, form, integrand, tol / 2)
-        if r is None:
-            return np.zeros_like(A)
-        evals += r.evaluations
-        return r.value
+        results.append(r)
+        return np.zeros((b_proj + len(powers),) + A.shape, dtype=complex) if r is None else r.value
 
-    b_proj = lambda M, c: B[None] @ _positive_proj_stack(M)
-    over = lambda M, c: _positive_proj_stack(M) / c[:, None, None]
-    over2 = lambda M, c: _positive_proj_stack(M) / (c * c)[:, None, None]
-    v = integral("gamma", b_proj)
-    w = integral("u", b_proj)
+    v, g_over, g_over2 = integral("gamma", 1, 2)
+    w, u_over = integral("u", 1)
+    (u_over2,) = integral("u", 2, b_proj=False)
 
-    log_diff = hermitian_part(integral("gamma", over) - integral("u", over))
+    log_diff = hermitian_part(g_over - u_over)
     residual_log = float(np.linalg.norm(log_diff - (log_of(dec_a) - log_of(pair.b1_decomposition)), 2))
 
-    dlog = hermitian_part(np.eye(A.shape[0]) - integral("gamma", over2) + integral("u", over2))
+    dlog = hermitian_part(np.eye(A.shape[0]) - g_over2 + u_over2)
     residual_dlog = float(np.linalg.norm(dlog - frechet.dlog_in(dec_a, B), 2))
 
+    done = [r for r in results if r is not None]
     return ProofChainIntegrals(
         v=v,
         w=w,
         chain=_block_chain(A, B, pair.b1_decomposition),
         residual_log_difference=residual_log,
         residual_dlog_representation=residual_dlog,
-        evaluations=evals,
+        evaluations=sum(r.evaluations for r in done),
+        converged=all(r.converged for r in done),
     )
 
 

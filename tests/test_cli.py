@@ -118,7 +118,10 @@ class TestVerify:
         assert len(items) == 19
         for it in items:
             assert not it["skipped"] and isinstance(it["residual"], float), it["name"]
-        assert {it["name"]: it["pass"] for it in items}["chain_identity"]
+        passed = {it["name"]: it["pass"] for it in items}
+        # log_difference_representation also guards the chain's grouping:
+        # stacking u[P/u^2] with u[B P, P/u] caps that tree on this pair.
+        assert passed["chain_identity"] and passed["log_difference_representation"]
 
     def test_identity_failure_exits_one(self, tmp_path, monkeypatch):
         pair = tmp_path / "pair.json"

@@ -170,7 +170,7 @@ class TestDefiniteness:
 
     def test_every_pd_check_agrees(self):
         def verify_gate(M):
-            item = dict(cli._suite_items(M, M, 1e-8, cli._PairMemo()))["pairing_trace"]
+            item = dict(cli._suite_items(divergence.prepare_pair(M, M), 1e-8, cli._PairMemo()))["pairing_trace"]
             if item().get("skipped"):
                 raise ValueError("item skipped: B not PD")
 

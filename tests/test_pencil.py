@@ -43,6 +43,13 @@ class TestEigencurves:
         bound = step * linalg.opnorm(B) + 1e-10
         assert np.abs(np.diff(curves, axis=1)).max() <= bound
 
+    def test_in_place_stack_keeps_bits(self):
+        rng = np.random.default_rng(93)
+        A, B = rand_herm(rng, 6), rand_herm(rng, 6)
+        grid = np.linspace(-3, 3, 256)
+        want = np.linalg.eigvalsh(A[None, :, :] - grid[:, None, None] * B[None, :, :])[:, ::-1].T
+        assert pencil.eigencurves(A, B, grid).tobytes() == want.copy().tobytes()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             pencil.eigencurves(A_EX, B_EX, np.array([]))

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from frenkel import linalg, quadrature, schatten, workers
+from frenkel import frechet, linalg, quadrature, schatten, workers
 from frenkel.schatten import CompactModel
 from frenkel.divergence import (
     SupportViolation,
@@ -292,6 +292,60 @@ class TestProofChain:
         assert pc.residual_dlog_representation <= 10 * tol
         assert _chain_residual(pc, A, B, tol) <= 10 * tol
 
+    def test_one_projector_per_node(self, monkeypatch):
+        # Three panel trees, gamma[B P, P/g, P/g^2], u[B P, P/u] and u[P/u^2],
+        # and one projector per node of them.
+        rng = np.random.default_rng(144)
+        tol = 1e-8
+        while True:
+            A, B = rand_pd(rng, 4), rand_pd(rng, 4)
+            pair = prepare_pair(A, B)
+            if pair.sigma.min() < 1.0 < pair.sigma.max():
+                break
+        P = quadrature._positive_proj_stack
+
+        def over(k):
+            return lambda M, c: P(M) / (c**k)[:, None, None]
+
+        b_proj = lambda M, c: pair.B[None] @ P(M)
+        ref = {
+            (form, name): quadrature.clipped_integral(pair, form, f, tol / 2).value
+            for form in ("gamma", "u")
+            for name, f in (("bp", b_proj), ("over", over(1)), ("over2", over(2)))
+        }
+        calls, matrices = [], []
+        real_integral = quadrature.clipped_integral
+
+        def counting_integral(*args, **kwargs):
+            calls.append(args[1])
+            return real_integral(*args, **kwargs)
+
+        def counting_proj(mats):
+            matrices.append(len(mats))
+            return P(mats)
+
+        monkeypatch.setattr(quadrature, "clipped_integral", counting_integral)
+        monkeypatch.setattr(quadrature, "_positive_proj_stack", counting_proj)
+        pc = proof_chain_integrals(A, B, tol)
+        assert calls == ["gamma", "u", "u"]
+        assert sum(matrices) == pc.evaluations
+        assert pc.converged
+        assert np.linalg.norm(pc.v - ref["gamma", "bp"], 2) <= tol
+        assert np.linalg.norm(pc.w - ref["u", "bp"], 2) <= tol
+        log_diff = linalg.hermitian_part(ref["gamma", "over"] - ref["u", "over"])
+        log_ref = linalg.matrix_log(pair.A) - linalg.matrix_log(pair.B)
+        assert abs(pc.residual_log_difference - np.linalg.norm(log_diff - log_ref, 2)) <= tol
+        dlog = linalg.hermitian_part(np.eye(4) - ref["gamma", "over2"] + ref["u", "over2"])
+        dlog_ref = frechet.dlog(pair.A, pair.B)
+        assert abs(pc.residual_dlog_representation - np.linalg.norm(dlog - dlog_ref, 2)) <= tol
+
+    def test_capped_tree_is_not_converged(self, monkeypatch):
+        rng = np.random.default_rng(145)
+        A, B = rand_pd(rng, 4), rand_pd(rng, 4)
+        real = quadrature._adaptive
+        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 2}))
+        assert not proof_chain_integrals(A, B, 1e-12).converged
+
     def test_runs_on_projections_only(self, monkeypatch):
         # Every chain integral is a projection integral: u, the one integral
         # of positive parts, comes from rhs_frg1.
@@ -401,15 +455,24 @@ class TestLeanPanel:
         i15 = half * np.tensordot(quadrature._WK, vals, axes=(0, 0))
         i7 = half * np.tensordot(quadrature._WG, vals[quadrature._GAUSS_IDX], axes=(0, 0))
         d = i15 - i7
-        return i15, float(np.linalg.norm(d, 2)) if d.ndim == 2 else float(abs(d))
+        if d.ndim == 0:
+            return i15, float(abs(d))
+        return i15, max(float(np.linalg.norm(m, 2)) for m in d.reshape(-1, *d.shape[-2:]))
 
     def test_matrix_and_scalar_integrands(self):
         rng = np.random.default_rng(301)
         A = rand_pd(rng, 6)
         B = rand_pd(rng, 6)
+
+        def clipped(gs):
+            return linalg.positive_part_stack(A[None] - gs[:, None, None] * B[None]) / gs[:, None, None]
+
         integrands = [
-            lambda gs: linalg.positive_part_stack(A[None] - gs[:, None, None] * B[None]) / gs[:, None, None],
+            clipped,
             lambda gs: np.sin(3.0 * gs) * np.exp(gs),
+            # a stacked (m, 3, n, n) integrand: its error is the largest
+            # operator norm over the three components
+            lambda gs: np.stack([clipped(gs), B[None] @ clipped(gs), clipped(gs) / gs[:, None, None]], axis=1),
         ]
         for fv in integrands:
             for a, b in ((0.3, 1.7), (1.0, 9.5)):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,11 +21,16 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_tracer_targets_resolve(monkeypatch):
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
     assert tracing.TARGETS
     missing = [
         (module, attr)
@@ -39,3 +45,31 @@ def test_demo_runs_from_any_directory(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_suite_items_keep_the_tracer_contract(monkeypatch):
+    # The tracer wraps cli._suite_items: it unpacks (name, thunk) pairs,
+    # names its spans after tracing.CLI_ITEMS and counts a thunk returning
+    # {"skipped": True} as skipped.
+    tracing = _load_tracing(monkeypatch)
+    cli = importlib.import_module("frenkel.cli")
+    prepare_pair = importlib.import_module("frenkel.divergence").prepare_pair
+    B = np.diag([2.0, 1.0, 0.0]).astype(complex)  # singular B, A inside range(B)
+    A = np.diag([1.0, 3.0, 0.0]).astype(complex)
+    items = cli._suite_items(prepare_pair(A, B), 1e-8, cli._PairMemo())
+    assert all(len(item) == 2 and callable(item[1]) for item in items)
+    assert tuple(name for name, _ in items) == tracing.CLI_ITEMS
+    outs = {name: thunk() for name, thunk in items}
+    skipped = {name for name, out in outs.items() if tracing._item_counts((), out).get("skipped")}
+    assert skipped == {
+        "pairing_trace",
+        "pairing_identity",
+        "chain_identity",
+        "log_difference_representation",
+        "dlog_representation",
+        "log_resolvent_oracle",
+        "dlog_resolvent_oracle",
+        "dlog_fd_oracle",
+        "alogdiff_oracle",
+    }
+    assert all(outs[name] == {"skipped": True} for name in skipped)
