@@ -18,14 +18,13 @@ import threading
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
 from .io import json_ready, read_pair, write_csv, write_pair
-from .linalg import hermitian_part, matrix_log, opnorm, parts, positive_definite_spectrum, random_unitary
+from .linalg import hermitian_part, matrix_log, opnorm, parts, positive_definite_spectrum, random_unitary, rebuild
 from .quadrature import (
     divergence_probe,
     frenkel_trace,
@@ -45,8 +44,6 @@ class RunConfig:
     seed: int = 0
     dim: int = 4
     tol: float = 1e-8
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
     commuting: bool = False
     singular_b: bool = False
     unsupported: bool = False
@@ -90,13 +87,11 @@ def generate_pair(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     if config.unsupported:
         k = max(1, n // 3) if n > 1 else 1
         b_evs[n - k :] = 0.0
-        A = hermitian_part((U * a_evs) @ U.conj().T)
-        B = hermitian_part((Ub * b_evs) @ Ub.conj().T)
-        return A, B
+        return rebuild(U, a_evs), rebuild(Ub, b_evs)
     if config.singular_b:
         k = max(1, n // 3) if n > 1 else 0
         b_evs[n - k :] = 0.0
-        B = hermitian_part((Ub * b_evs) @ Ub.conj().T)
+        B = rebuild(Ub, b_evs)
         r = n - k
         V = Ub[:, :r]
         if config.commuting:
@@ -104,12 +99,10 @@ def generate_pair(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         else:
             G = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
             W, _ = np.linalg.qr(G)
-            A1 = hermitian_part((W * a_evs[:r]) @ W.conj().T)
+            A1 = rebuild(W, a_evs[:r])
         A = hermitian_part(V @ A1 @ V.conj().T)
         return A, B
-    A = hermitian_part((U * a_evs) @ U.conj().T)
-    B = hermitian_part((Ub * b_evs) @ Ub.conj().T)
-    return A, B
+    return rebuild(U, a_evs), rebuild(Ub, b_evs)
 
 
 def _threads() -> int:
@@ -290,16 +283,14 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
     return [(name, thunk if met else (lambda: {"skipped": True})) for name, met, thunk in table]
 
 
-def run_verification_suite(
-    A: np.ndarray, B: np.ndarray, tol: float, threads: Optional[int] = None, diagnostics: bool = False
-) -> dict:
+def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics: bool = False) -> dict:
     """Run every identity check on one pair and assemble the JSON report.
 
     Pairs without support containment route to the divergence probe instead;
     their single check is the growth slope against log t.  diagnostics adds
-    the panel logs of the suite's own two quadratures.  threads (default
-    FRENKEL_THREADS) sizes the shared executor that the items, and the
-    panel chunks of their quadratures, run on.
+    the panel logs of the suite's own two quadratures.  FRENKEL_THREADS
+    sizes the shared executor that the items, and the panel chunks of their
+    quadratures, run on.
     """
     pair = prepare_pair(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
@@ -328,7 +319,7 @@ def run_verification_suite(
     report["dichotomy"] = "finite"
     memo = _PairMemo()
     items = _suite_items(pair, tol, memo)
-    n_workers = threads if threads is not None else _threads()
+    n_workers = _threads()
 
     def run_one(item):
         name, thunk = item
@@ -396,6 +387,7 @@ def _panel_log(result) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    RunConfig(command="verify", tol=args.tol)  # range check only
     A, B = read_pair(args.input)
     report = run_verification_suite(A, B, args.tol, diagnostics=args.diagnostics)
     text = json.dumps(report, indent=2)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import frechet
 from .linalg import (
-    ZERO_BAND,
     PsdOrderVerdict,
     SpectralDecomposition,
     eig_hermitian,
@@ -27,6 +26,7 @@ from .linalg import (
     parts,
     positive_definite_spectrum,
     range_mask,
+    rebuild,
     require_psd,
     support_in_eigenbasis,
 )
@@ -204,13 +204,10 @@ def _block_chain(A1: np.ndarray, B1: np.ndarray, b1_dec: Optional[SpectralDecomp
     """
     dec = eig_hermitian(A1)
     w = dec.eigenvalues
-    band = ZERO_BAND * (np.abs(w).max() if w.size else 0.0)
-    w = np.where(np.abs(w) <= band, 0.0, w)
+    w = np.where(range_mask(np.abs(w)), w, 0.0)
     if w.min() < 0:
         raise ValueError(f"divergence: A not PSD on the range(B) block (eigenvalue {w.min():.6e})")
-    vals = np.array([_xlogx(x) for x in w])
-    U = dec.eigenvectors
-    a_log_a = hermitian_part((U * vals) @ U.conj().T)
+    a_log_a = rebuild(dec.eigenvectors, np.array([_xlogx(x) for x in w]))
     return a_log_a - A1 @ log_of(eig_hermitian(B1) if b1_dec is None else b1_dec)
 
 

@@ -22,9 +22,15 @@ PSD_SLACK = 1e-10
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2."""
+    """(M + M*) / 2, of one matrix or of each in a stack (..., n, n)."""
     M = np.asarray(M, dtype=complex)
-    return (M + M.conj().T) / 2
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2
+
+
+def rebuild(U: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Hermitian part of U diag(vals) U*, of one matrix or of a stack: the one
+    rebuild of every spectral function f(T) = U f(w) U*, given vals = f(w)."""
+    return hermitian_part((U * vals[..., None, :]) @ np.swapaxes(U.conj(), -1, -2))
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
@@ -73,8 +79,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
+        return rebuild(self.eigenvectors, self.eigenvalues)
 
 
 def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
@@ -93,12 +98,18 @@ def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
 def positive_definite_spectrum(w: np.ndarray) -> bool:
     """The package's one definiteness test on a Hermitian spectrum: the
     smallest eigenvalue clears the zero band of the largest magnitude."""
-    return bool(w.min() > ZERO_BAND * np.abs(w).max(initial=0.0))
+    return bool(range_mask(w).all())
+
+
+def zero_band(w: np.ndarray) -> np.ndarray:
+    """ZERO_BAND times the largest magnitude of a spectrum, over its last axis."""
+    return ZERO_BAND * np.abs(w).max(axis=-1, initial=0.0)
 
 
 def range_mask(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a PSD spectrum above its zero band, the ones spanning its range."""
-    return w > ZERO_BAND * np.abs(w).max(initial=0.0)
+    """The package's one zero-band test, over the last axis of a spectrum or a
+    stack of spectra: eigenvalues above the band; on a PSD spectrum, its range."""
+    return w > zero_band(w)[..., None]
 
 
 def spectral_apply(T: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
@@ -117,8 +128,7 @@ def spectral_apply(T: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
         if not np.isfinite(y):
             raise ValueError(f"spectral_apply: f({lam!r}) = {y!r} is not finite")
         vals[i] = y
-    U = dec.eigenvectors
-    return hermitian_part((U * vals) @ U.conj().T)
+    return rebuild(dec.eigenvectors, vals)
 
 
 @dataclass(frozen=True)
@@ -144,44 +154,31 @@ def parts(T: np.ndarray) -> PartsDecomposition:
     """Positive/negative parts and spectral projections of a Hermitian matrix."""
     dec = eig_hermitian(T)
     w, U = dec.eigenvalues, dec.eigenvectors
-    band = ZERO_BAND * (np.abs(w).max() if w.size else 0.0)
-    pos = w > band
-    neg = w < -band
-    Uc = U.conj().T
-
-    def build(vals):
-        return hermitian_part((U * vals) @ Uc)
-
+    pos, neg = range_mask(w), range_mask(-w)
     return PartsDecomposition(
-        positive_part=build(np.where(pos, w, 0.0)),
-        negative_part=build(np.where(neg, -w, 0.0)),
-        positive_projection=build(pos.astype(float)),
-        negative_projection=build(neg.astype(float)),
+        positive_part=rebuild(U, np.where(pos, w, 0.0)),
+        negative_part=rebuild(U, np.where(neg, -w, 0.0)),
+        positive_projection=rebuild(U, pos.astype(float)),
+        negative_projection=rebuild(U, neg.astype(float)),
     )
 
 
 def positive_part(T: np.ndarray) -> np.ndarray:
     """Clip a Hermitian matrix to its positive eigenspaces."""
     w, U = np.linalg.eigh(hermitian_part(np.asarray(T, dtype=complex)))
-    band = ZERO_BAND * (np.abs(w).max() if w.size else 0.0)
-    wp = np.where(w > band, w, 0.0)
-    return hermitian_part((U * wp) @ U.conj().T)
+    return rebuild(U, np.where(range_mask(w), w, 0.0))
 
 
 def positive_part_stack(mats: np.ndarray) -> np.ndarray:
     """Positive parts of a stack of Hermitian matrices, shape (..., n, n)."""
     w, U = np.linalg.eigh(mats)
-    band = ZERO_BAND * np.abs(w).max(axis=-1, keepdims=True)
-    wp = np.where(w > band, w, 0.0)
-    out = np.einsum("...ij,...j,...kj->...ik", U, wp, U.conj())
-    return (out + np.swapaxes(out, -1, -2).conj()) / 2
+    return rebuild(U, np.where(range_mask(w), w, 0.0))
 
 
 def positive_eig_stack(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack with the zero band applied, negatives dropped."""
     w = np.linalg.eigvalsh(mats)
-    band = ZERO_BAND * np.abs(w).max(axis=-1, keepdims=True)
-    return np.where(w > band, w, 0.0)
+    return np.where(range_mask(w), w, 0.0)
 
 
 def matrix_log(T: np.ndarray) -> np.ndarray:
@@ -195,16 +192,14 @@ def log_of(dec: SpectralDecomposition) -> np.ndarray:
     if not positive_definite_spectrum(w):
         raise ValueError(
             f"matrix_log: input not positive definite at working precision "
-            f"(min eigenvalue {w.min():.6e}, floor {ZERO_BAND * np.abs(w).max():.6e})"
+            f"(min eigenvalue {w.min():.6e}, floor {zero_band(w):.6e})"
         )
-    U = dec.eigenvectors
-    return hermitian_part((U * np.log(w)) @ U.conj().T)
+    return rebuild(dec.eigenvectors, np.log(w))
 
 
 def matrix_exp(T: np.ndarray) -> np.ndarray:
     dec = eig_hermitian(T)
-    U = dec.eigenvectors
-    return hermitian_part((U * np.exp(dec.eigenvalues)) @ U.conj().T)
+    return rebuild(dec.eigenvectors, np.exp(dec.eigenvalues))
 
 
 def schatten_norm(T: np.ndarray, p: float) -> float:
@@ -236,16 +231,10 @@ class PsdOrderVerdict:
     witness: Optional[np.ndarray] = None
 
 
-def is_psd(T: np.ndarray, slack: float = PSD_SLACK) -> bool:
-    w = np.linalg.eigvalsh(hermitian_part(np.asarray(T, dtype=complex)))
-    scale = np.abs(w).max() if w.size else 0.0
-    return bool(w.min() >= -slack * scale)
-
-
 def require_psd(T: np.ndarray, name: str = "matrix") -> np.ndarray:
     T = as_hermitian(T)
-    if not is_psd(T):
-        w = np.linalg.eigvalsh(T)
+    w = np.linalg.eigvalsh(T)
+    if not w.min() >= -PSD_SLACK * np.abs(w).max():
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.6e})")
     return T
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .divergence import _relative_spectrum
 from .io import write_csv
-from .linalg import ZERO_BAND, hermitian_part, opnorm, parts, positive_definite_spectrum, schatten_norm
+from .linalg import hermitian_part, opnorm, parts, positive_definite_spectrum, range_mask, schatten_norm
 
 GENERALIZED_EIG = "generalized_eig"
 SIGN_SCAN = "sign_scan"
@@ -97,13 +97,11 @@ def find_crossings(
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     curves = eigencurves(A, B, grid)
-    scale = np.abs(curves).max(initial=0.0)
-    band = ZERO_BAND * max(scale, 1e-300)
+    # A branch whose every value lies in the zero band of all the curves is
+    # identically zero: not a crossing of a nonzero branch.
     found = []
-    for k in range(curves.shape[0]):
+    for k in np.flatnonzero(range_mask(np.abs(curves).max(axis=1))):
         branch = curves[k]
-        if np.abs(branch).max() <= band:
-            continue  # identically zero branch: not a crossing of a nonzero branch
         for i in range(grid.size - 1):
             f0, f1 = branch[i], branch[i + 1]
             if f0 == 0.0:

@@ -28,13 +28,15 @@ from .divergence import (
 )
 from . import frechet, workers
 from .linalg import (
-    ZERO_BAND,
     eig_hermitian,
     hermitian_part,
     log_of,
     positive_definite_spectrum,
     positive_part_stack,
     positive_eig_stack,
+    range_mask,
+    rebuild,
+    zero_band,
 )
 from .pencil import find_crossings
 
@@ -453,10 +455,7 @@ def frenkel_trace(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> flo
 
 def _positive_proj_stack(mats: np.ndarray) -> np.ndarray:
     w, U = np.linalg.eigh(mats)
-    band = ZERO_BAND * np.abs(w).max(axis=-1, keepdims=True)
-    ind = (w > band).astype(float)
-    out = np.einsum("...ij,...j,...kj->...ik", U, ind, U.conj())
-    return (out + np.swapaxes(out, -1, -2).conj()) / 2
+    return rebuild(U, range_mask(w).astype(float))
 
 
 @dataclass(frozen=True)
@@ -571,6 +570,11 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
     ts = np.sort(np.asarray(list(checkpoints), dtype=float))
     if ts.size == 0 or ts[0] <= 1.0:
         raise ValueError("divergence_probe: checkpoints must be > 1")
+    # From t_max on, the witness mass lies in the zero band of the pencil (norm
+    # about t ||B||) and is clipped away: later windows would add nothing.
+    t_max = witness_mass / float(zero_band(np.linalg.eigvalsh(B)))
+    if not ts[-1] < t_max:
+        raise ValueError(f"divergence_probe: checkpoints must be finite and below t_max = {t_max:.6g}")
 
     def f(gs):
         g = gs[:, None, None]
@@ -586,6 +590,8 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
             [find_crossings(A, B, (lo, t)).crossings, find_crossings(B, A, (lo, t)).crossings]
         )
         seg = _adaptive(f, lo, float(t), tol, kinks=kinks)
+        if not seg.converged:
+            raise ValueError(f"divergence_probe: the integral over [{lo:.6g}, {t:.6g}] did not converge")
         cum = cum + seg.value
         values[k] = float((x.conj() @ cum @ x).real)
         lo = float(t)

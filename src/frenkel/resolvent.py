@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .divergence import restrict_pair, embed
-from .linalg import ZERO_BAND, hermitian_part, opnorm, positive_definite_spectrum, require_psd
+from .linalg import hermitian_part, opnorm, positive_definite_spectrum, range_mask, require_psd
 from .quadrature import QuadratureResult, _adaptive
 
 _S_CUT = 1.0 - 1e-12
@@ -125,7 +125,7 @@ def domination_constants(A: np.ndarray, B: np.ndarray) -> DominationConstants:
     Binv = np.linalg.inv(B)
     alpha = _spectral_norm(A @ Binv)
     wA = np.linalg.eigvalsh(A)
-    invertible = np.abs(wA).min() > ZERO_BAND * np.abs(wA).max(initial=0.0)
+    invertible = range_mask(np.abs(wA)).all()
     beta_a = beta_b = None
     if invertible:
         Ainv = np.linalg.inv(A)

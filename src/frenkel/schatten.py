@@ -18,12 +18,20 @@ import numpy as np
 from . import frechet
 from .divergence import delta_operator, prepare_pair
 from .io import write_csv
-from .linalg import hermitian_part, random_unitary, schatten_norm
+from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
 from .quadrature import _scalar_total, clipped_integral
 
 LAWS = ("power", "geom")
 SIGN_PATTERNS = ("pos", "alt", "seeded")
 _MAX_MASTER_DIM = 1024
+_N_SAMPLES = 16
+
+
+def _sample_block(N: int, seed: int) -> np.ndarray:
+    """The seeded unit sample vectors of the strong gaps, as (N, _N_SAMPLES) columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, _N_SAMPLES)) + 1j * rng.standard_normal((N, _N_SAMPLES))
+    return X / np.linalg.norm(X, axis=0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ def synth_compact(model: CompactModel) -> np.ndarray:
     if model.rotation_seed < 0:
         return np.diag(mu).astype(complex)
     U = random_unitary(model.master_dim, np.random.default_rng(model.rotation_seed))
-    return hermitian_part((U * mu) @ U.conj().T)
+    return rebuild(U, mu)
 
 
 def truncate(T: np.ndarray, n: int) -> np.ndarray:
@@ -135,17 +143,15 @@ class TruncationSeries:
     strong_residuals: np.ndarray
 
 
-def truncation_series(T: np.ndarray, p: float, n_samples: int = 16, sample_seed: int = 20) -> TruncationSeries:
+def truncation_series(T: np.ndarray, p: float) -> TruncationSeries:
     T = hermitian_part(np.asarray(T, dtype=complex))
     N = T.shape[0]
-    rng = np.random.default_rng(sample_seed)
-    X = rng.standard_normal((N, n_samples)) + 1j * rng.standard_normal((N, n_samples))
-    X /= np.linalg.norm(X, axis=0)
+    X = _sample_block(N, 20)
     ns = np.arange(1, N + 1)
     plus = np.empty(N)
     minus = np.empty(N)
     gap = np.empty(N)
-    strong = np.empty((N, n_samples))
+    strong = np.empty((N, _N_SAMPLES))
     for k, n in enumerate(ns):
         block_evals = np.linalg.eigvalsh(T[:n, :n])
         plus[k], minus[k] = _plus_minus_pnorm(block_evals, p)
@@ -231,7 +237,7 @@ def _master_pair(A_model: CompactModel, B_model: CompactModel) -> tuple[np.ndarr
     return synth_compact(A_model), synth_compact(B_model)
 
 
-def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float, n_samples: int = 16, sample_seed: int = 21) -> ConvergenceRecord:
+def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float) -> ConvergenceRecord:
     """Blockwise divergence versus the master divergence along n = 1, 2, 4, ..., N.
 
     The n-block value is Delta(A_n || B_n) computed on the block (B's
@@ -241,9 +247,7 @@ def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float,
     A, B = _master_pair(A_model, B_model)
     N = A.shape[0]
     master = delta_operator(A, B).delta
-    rng = np.random.default_rng(sample_seed)
-    X = rng.standard_normal((N, n_samples)) + 1j * rng.standard_normal((N, n_samples))
-    X /= np.linalg.norm(X, axis=0)
+    X = _sample_block(N, 21)
     ns = _power_of_two_grid(N)
     op_gap = np.empty(ns.size)
     p_gap = np.empty(ns.size)
@@ -273,13 +277,11 @@ class ProductConvergenceProbe:
     strong_gap: np.ndarray
 
 
-def problem1_probe(A_model: CompactModel, B_model: CompactModel, n_samples: int = 16, sample_seed: int = 22) -> ProductConvergenceProbe:
+def problem1_probe(A_model: CompactModel, B_model: CompactModel) -> ProductConvergenceProbe:
     A, B = _master_pair(A_model, B_model)
     N = A.shape[0]
     master = B @ frechet.dlog(B, A)
-    rng = np.random.default_rng(sample_seed)
-    X = rng.standard_normal((N, n_samples)) + 1j * rng.standard_normal((N, n_samples))
-    X /= np.linalg.norm(X, axis=0)
+    X = _sample_block(N, 22)
     p = A_model.p
     ns = _power_of_two_grid(N)
     p_gap = np.empty(ns.size)

@@ -156,6 +156,22 @@ class TestVerify:
         assert "matrix A" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "1.0"])
+    def test_out_of_range_tol_exits_two_without_report(self, tmp_path, capsys, tol):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "r.json"
+        assert main(["gen", "--seed", "1", "--dim", "3", "-o", str(pair)]) == 0
+        rc = []
+        # --tol=VALUE, so that argparse does not take "-1e-8" for an option.
+        argv = ["verify", "-i", str(pair), f"--tol={tol}", "-o", str(out)]
+        runner = threading.Thread(target=lambda: rc.append(main(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), f"verify --tol {tol} did not finish"
+        assert rc == [2]
+        assert "tol must be in [1e-12, 1e-2]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_two(self, tmp_path):
         rc = main(["verify", "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "r.json")])
         assert rc == 2
@@ -386,6 +402,15 @@ class TestProbeCommand:
         assert len(lines) == 4
         assert "slope=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("last", ["1e20", "1e300", "inf", "nan"])
+    def test_checkpoint_beyond_the_zero_band_exits_two(self, tmp_path, capsys, last):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "g.csv"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        assert main(["probe", "-i", str(pair), "--checkpoints", f"10,{last}", "-o", str(out)]) == 2
+        assert "t_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_supported_pair_exits_two(self, tmp_path):
         pair = tmp_path / "pair.json"
         main(["gen", "--seed", "14", "--dim", "4", "-o", str(pair)])
@@ -394,8 +419,10 @@ class TestProbeCommand:
 
 
 class TestSuiteDirect:
-    def test_report_deterministic_across_threads(self):
+    def test_report_deterministic_across_threads(self, monkeypatch):
         A, B = generate_pair(RunConfig(command="gen", seed=21, dim=4))
-        r1 = run_verification_suite(A, B, 1e-8, threads=1)
-        r8 = run_verification_suite(A, B, 1e-8, threads=8)
-        assert json.dumps(r1, indent=2) == json.dumps(r8, indent=2)
+        reports = []
+        for threads in ("1", "8"):
+            monkeypatch.setenv("FRENKEL_THREADS", threads)
+            reports.append(json.dumps(run_verification_suite(A, B, 1e-8), indent=2))
+        assert reports[0] == reports[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frenkel import cli, divergence, frechet, linalg, resolvent
+from frenkel import cli, divergence, frechet, linalg, quadrature, resolvent, schatten
 from util import rand_herm, rand_pd
 
 H0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
@@ -167,6 +167,23 @@ class TestDefiniteness:
         assert linalg.positive_definite_spectrum(np.array([2e-12, 1.0]))
         assert not linalg.positive_definite_spectrum(np.array([1e-12, 1.0]))
         assert not linalg.positive_definite_spectrum(np.array([-1e-3, 1.0]))
+        # Every clipping kernel drops an eigenvalue inside the zero band of
+        # diag(1, edge), 1e-12, and keeps one above it; each entry reads the
+        # kernel's value in the edge direction.  schatten._clipped_eigs, on
+        # budget_e_p's path, clips at > 0 instead and keeps both.
+        band_kernels = {
+            "positive_part": lambda M: linalg.positive_part(M)[1, 1].real,
+            "positive_part_stack": lambda M: linalg.positive_part_stack(M[None])[0, 1, 1].real,
+            "parts.positive_part": lambda M: linalg.parts(M).positive_part[1, 1].real,
+            "parts.positive_projection": lambda M: M[1, 1].real * linalg.parts(M).positive_projection[1, 1].real,
+            "positive_eig_stack": lambda M: linalg.positive_eig_stack(M[None])[0, 0],
+            "_positive_proj_stack": lambda M: M[1, 1].real * quadrature._positive_proj_stack(M[None])[0, 1, 1].real,
+        }
+        for edge, inside in ((2e-12, False), (5e-13, True)):
+            M = np.diag([1.0, edge]).astype(complex)
+            for name, kernel in band_kernels.items():
+                assert kernel(M) == pytest.approx(0.0 if inside else edge, abs=1e-16), (name, edge)
+            assert schatten._clipped_eigs(M[None])[0, 0] == edge
 
     def test_every_pd_check_agrees(self):
         def verify_gate(M):
@@ -190,6 +207,48 @@ class TestDefiniteness:
                 else:
                     with pytest.raises(ValueError):
                         check(M)
+
+
+def _hand_clip(M, f):
+    """f(w, w above the zero band) of one matrix, rebuilt as U diag(.) U* by hand."""
+    w, U = np.linalg.eigh(M)
+    return linalg.hermitian_part((U * f(w, w > linalg.ZERO_BAND * np.abs(w).max())) @ U.conj().T)
+
+
+class TestStackKernels:
+    """A stack kernel gives each member of a stack the bits of its single-matrix form."""
+
+    SINGLE = {
+        "positive_part_stack": (linalg.positive_part_stack, linalg.positive_part),
+        "_positive_proj_stack": (
+            quadrature._positive_proj_stack,
+            lambda M: _hand_clip(M, lambda w, keep: keep.astype(float)),
+        ),
+        "positive_eig_stack": (
+            linalg.positive_eig_stack,
+            lambda M: np.where(linalg.range_mask(np.linalg.eigvalsh(M)), np.linalg.eigvalsh(M), 0.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SINGLE)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_members_match_single_matrix_form(self, name, n):
+        stack_kernel, single = self.SINGLE[name]
+        rng = np.random.default_rng(170 + n)
+        # Pencil-like stacks: indefinite members, one with an exact zero eigenvalue.
+        mats = np.stack([rand_herm(rng, n) for _ in range(6)])
+        U = linalg.random_unitary(n, rng)
+        mats[0] = linalg.hermitian_part((U * (np.linspace(-1.0, 1.0, n) * (np.arange(n) != 0))) @ U.conj().T)
+        out = stack_kernel(mats)
+        for k in range(mats.shape[0]):
+            assert np.array_equal(out[k], single(mats[k])), k
+
+    def test_rebuild_is_the_hand_written_product(self):
+        rng = np.random.default_rng(175)
+        for n in (1, 3, 12, 40):
+            M = rand_herm(rng, n)
+            w, U = np.linalg.eigh(M)
+            assert np.array_equal(linalg.rebuild(U, np.exp(w)), _hand_clip(M, lambda w, keep: np.exp(w)))
 
 
 class TestSchattenNorm:

@@ -443,6 +443,23 @@ class TestDivergenceProbe:
         with pytest.raises(ValueError):
             divergence_probe(A, B, [10.0, 100.0])
 
+    @pytest.mark.parametrize("last", [1e20, 1e300, math.inf, math.nan])
+    def test_rejects_checkpoints_beyond_the_zero_band(self, last):
+        # Witness mass 1 against ||B|| = 1: from t = 1e12 on, the witness
+        # eigenvalue of the pencil lies in its zero band and is clipped away.
+        A = np.diag([1.0, 1.0]).astype(complex)
+        B = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="t_max = 1e\\+12"):
+            divergence_probe(A, B, [10.0, last])
+
+    def test_unconverged_window_raises(self, monkeypatch):
+        A = np.diag([2.0, 3.0]).astype(complex)
+        B = np.diag([1.0, 0.0]).astype(complex)
+        real = quadrature._adaptive
+        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
+        with pytest.raises(ValueError, match="did not converge"):
+            divergence_probe(A, B, [10.0, 100.0])
+
 
 class TestLeanPanel:
     """_panel and _err_norm give the bits of their tensordot / norm forms."""

@@ -38,6 +38,10 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+    # The tracer patches by identity, in every module that holds the object:
+    # one function behind two targets would be traced under both span names.
+    objects = [getattr(importlib.import_module(module), attr) for module, attr, *_ in tracing.TARGETS]
+    assert len({id(obj) for obj in objects}) == len(objects)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
