@@ -24,7 +24,7 @@ import numpy as np
 from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
 from .io import json_ready, read_pair, write_csv, write_pair
-from .linalg import hermitian_part, matrix_log, opnorm, parts, positive_definite_spectrum, random_unitary, rebuild
+from .linalg import hermitian_part, matrix_log, opnorm, parts, random_unitary, rebuild
 from .quadrature import (
     divergence_probe,
     frenkel_trace,
@@ -153,7 +153,7 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
     """
     A, B = pair.A, pair.B
     b_pd = pair.V is None  # B has full rank: its spectrum clears the zero band
-    both_pd = b_pd and positive_definite_spectrum(np.linalg.eigvalsh(A))
+    both_pd = b_pd and pair.a_definite
     scale_tr = max(1.0, abs(float(np.trace(A).real)))
 
     def main_identity():
@@ -283,6 +283,16 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
     return [(name, thunk if met else (lambda: {"skipped": True})) for name, met, thunk in table]
 
 
+def _shared_routes(pair: PreparedPair) -> list:
+    """The quadrature routes that several suite items read, longest first.
+
+    Each takes (A, B, tol) through the memo; the chain runs only when both
+    operands are positive definite, as the items that read it do.
+    """
+    chain = [proof_chain_integrals] if pair.V is None and pair.a_definite else []
+    return chain + [rhs_frg1, rhs_frg]
+
+
 def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics: bool = False) -> dict:
     """Run every identity check on one pair and assemble the JSON report.
 
@@ -328,11 +338,16 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
     t0 = time.perf_counter()
     if n_workers > 1:
         # The executor the quadrature driver fans panel chunks out over too,
-        # so items and chunks share its n_workers threads.
+        # so items and chunks share its n_workers threads.  The shared routes
+        # start first, so the first items do not hold a worker blocked on a
+        # route another worker computes; their readers find them in the memo.
         pool = workers.executor(n_workers)
+        ahead = [pool.submit(memo, route, pair.A, pair.B, tol) for route in _shared_routes(pair)]
         futures = [pool.submit(run_one, it) for it in items]
-        wait(futures)
+        wait(ahead + futures)
         results = [fut.result() for fut in futures]
+        for fut in ahead:
+            fut.result()
     else:
         results = [run_one(it) for it in items]
     wall = time.perf_counter() - t0

@@ -143,7 +143,8 @@ class PreparedPair:
     support is the range(A) in range(B) verdict, with its witness on
     failure.  When it holds, (V, A1, B1) is restrict_pair(A, B) and b1_eigh
     the ascending eigh of B1, the eigh of B itself when B has full rank;
-    otherwise all four are None.  sigma is computed on first use.
+    otherwise all four are None.  sigma and a_definite are computed on
+    first use.
     """
 
     A: np.ndarray
@@ -158,6 +159,11 @@ class PreparedPair:
     def sigma(self) -> np.ndarray:
         """relative_spectrum(A1, B1)."""
         return _relative_spectrum(self.A1, *self.b1_eigh)
+
+    @cached_property
+    def a_definite(self) -> bool:
+        """A passes positive_definite_spectrum."""
+        return positive_definite_spectrum(np.linalg.eigvalsh(self.A))
 
     @cached_property
     def b1_decomposition(self) -> SpectralDecomposition:

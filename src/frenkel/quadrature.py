@@ -25,6 +25,7 @@ from .divergence import (
     embed,
     prepare_pair,
     _block_chain,
+    _relative_spectrum,
 )
 from . import frechet, workers
 from .linalg import (
@@ -38,7 +39,6 @@ from .linalg import (
     rebuild,
     zero_band,
 )
-from .pencil import find_crossings
 
 MAX_PANELS = 2**14
 DEFAULT_TOL = 1e-8
@@ -560,6 +560,24 @@ class GrowthRecord:
     witness_mass: float
 
 
+def _probe_kinks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every gamma > 0 where a nonzero branch of A - gamma B or of
+    B - gamma A changes sign, sorted, from one eigh of A + B.
+
+    A and B vanish on the kernel of A + B.  On its range, congruence by
+    (A + B)^-1/2 turns A - gamma B into Theta - gamma (I - Theta), with
+    Theta the relative spectrum of A against A + B (0 <= theta <= 1), so by
+    Sylvester's law of inertia the branches of A - gamma B cross zero
+    exactly at theta / (1 - theta) and those of B - gamma A at
+    (1 - theta) / theta, for 0 < theta < 1.
+    """
+    w, U = np.linalg.eigh(A + B)
+    keep = range_mask(w)
+    theta = _relative_spectrum(A, w[keep], U[:, keep])
+    theta = theta[(theta > 0.0) & (theta < 1.0)]
+    return np.sort(np.concatenate([theta / (1.0 - theta), (1.0 - theta) / theta]))
+
+
 def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float], tol: float = DEFAULT_TOL) -> GrowthRecord:
     """Witness the logarithmic divergence of the integral for unsupported pairs."""
     pair = prepare_pair(A, B)
@@ -570,9 +588,13 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
     ts = np.sort(np.asarray(list(checkpoints), dtype=float))
     if ts.size == 0 or ts[0] <= 1.0:
         raise ValueError("divergence_probe: checkpoints must be > 1")
+    if np.any(ts[1:] == ts[:-1]):
+        raise ValueError("divergence_probe: checkpoints must be distinct")
     # From t_max on, the witness mass lies in the zero band of the pencil (norm
     # about t ||B||) and is clipped away: later windows would add nothing.
-    t_max = witness_mass / float(zero_band(np.linalg.eigvalsh(B)))
+    # With B = 0 nothing is ever clipped.
+    band = float(zero_band(np.linalg.eigvalsh(B)))
+    t_max = witness_mass / band if band > 0.0 else math.inf
     if not ts[-1] < t_max:
         raise ValueError(f"divergence_probe: checkpoints must be finite and below t_max = {t_max:.6g}")
 
@@ -582,13 +604,12 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
         t2 = positive_part_stack(B[None] - g * A[None]) / (g * g)
         return t1 + t2
 
+    crossings = _probe_kinks(A, B)
     values = np.empty(ts.size)
     cum = np.zeros_like(A)
     lo = 1.0
     for k, t in enumerate(ts):
-        kinks = np.concatenate(
-            [find_crossings(A, B, (lo, t)).crossings, find_crossings(B, A, (lo, t)).crossings]
-        )
+        kinks = crossings[(crossings >= lo) & (crossings <= t)]
         seg = _adaptive(f, lo, float(t), tol, kinks=kinks)
         if not seg.converged:
             raise ValueError(f"divergence_probe: the integral over [{lo:.6g}, {t:.6g}] did not converge")

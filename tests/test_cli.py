@@ -294,6 +294,35 @@ class TestSharedRoutes:
             "dlog": 1,
         }
 
+    @pytest.mark.parametrize("flags", [[], ["--singular-b"]], ids=["pd", "singular-b"])
+    def test_shared_routes_start_before_their_readers(self, tmp_path, monkeypatch, flags):
+        pair = tmp_path / "pair.json"
+        main(["gen", "--seed", "23", "--dim", "6", *flags, "-o", str(pair)])
+        starts = []  # names in start order; list.append is atomic
+
+        def started(name, fn):
+            def wrapper(*args):
+                starts.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        readers = {
+            "proof_chain_integrals": {"chain_identity", "log_difference_representation", "dlog_representation"},
+            "rhs_frg1": {"main_identity_gamma_form", "form_equivalence", "chain_identity", "quadrature_psd"},
+            "rhs_frg": {"form_equivalence"},
+        }
+        for name in readers:
+            monkeypatch.setattr(cli, name, started(name, getattr(cli, name)))
+        real_items = cli._suite_items
+        monkeypatch.setattr(cli, "_suite_items", lambda *a: [(n, started(n, t)) for n, t in real_items(*a)])
+        monkeypatch.setenv("FRENKEL_THREADS", "2")
+        assert main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")]) == 0
+        routes = [name for name in starts if name in readers]
+        assert sorted(routes) == sorted((["proof_chain_integrals"] if not flags else []) + ["rhs_frg1", "rhs_frg"])
+        for route in routes:
+            assert all(starts.index(route) < starts.index(item) for item in readers[route]), (route, starts)
+
     def test_memo_computes_once_under_contention(self):
         memo = cli._PairMemo()
         calls = []
@@ -411,6 +440,31 @@ class TestProbeCommand:
         assert "t_max" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_checkpoint_exits_two(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "g.csv"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        assert main(["probe", "-i", str(pair), "--checkpoints", "10,10,100", "-o", str(out)]) == 2
+        assert "divergence_probe: checkpoints must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    @pytest.mark.parametrize("cond", ["1", "1e3", "1e6"])
+    def test_zero_b_pair(self, tmp_path, capsys, seed, cond):
+        # gen --dim 1 --unsupported makes B = 0: the integrand is A / gamma,
+        # so the slope is the witness mass and no checkpoint is beyond reach.
+        pair = tmp_path / "pair.json"
+        report = tmp_path / "r.json"
+        main(["gen", "--seed", seed, "--dim", "1", "--cond", cond, "--unsupported", "-o", str(pair)])
+        assert read_pair(pair)[1][0, 0] == 0.0
+        assert main(["verify", "-i", str(pair), "-o", str(report)]) == 0
+        probe = json.loads(report.read_text())["probe"]
+        assert probe["slope"] == pytest.approx(probe["witness_mass"], rel=1e-9)
+        capsys.readouterr()
+        assert main(["probe", "-i", str(pair), "-o", str(tmp_path / "g.csv")]) == 0
+        fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+        assert float(fields["slope"]) == pytest.approx(float(fields["witness_mass"]), rel=1e-9)
+
     def test_supported_pair_exits_two(self, tmp_path):
         pair = tmp_path / "pair.json"
         main(["gen", "--seed", "14", "--dim", "4", "-o", str(pair)])
@@ -422,7 +476,7 @@ class TestSuiteDirect:
     def test_report_deterministic_across_threads(self, monkeypatch):
         A, B = generate_pair(RunConfig(command="gen", seed=21, dim=4))
         reports = []
-        for threads in ("1", "8"):
+        for threads in ("1", "2", "8"):
             monkeypatch.setenv("FRENKEL_THREADS", threads)
             reports.append(json.dumps(run_verification_suite(A, B, 1e-8), indent=2))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]

@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from frenkel import frechet, linalg, quadrature, schatten, workers
+from frenkel import frechet, linalg, pencil, quadrature, schatten, workers
+from frenkel.cli import RunConfig, generate_pair
 from frenkel.schatten import CompactModel
 from frenkel.divergence import (
     SupportViolation,
@@ -459,6 +460,106 @@ class TestDivergenceProbe:
         monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
         with pytest.raises(ValueError, match="did not converge"):
             divergence_probe(A, B, [10.0, 100.0])
+
+    def test_rejects_repeated_checkpoints(self):
+        # A repeated checkpoint would be a zero-width window.
+        A = np.diag([1.0, 1.0]).astype(complex)
+        B = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="distinct"):
+            divergence_probe(A, B, [10.0, 10.0, 100.0])
+
+    def test_zero_b_has_no_zero_band_bound(self):
+        # With B = 0 the integrand is A / gamma, never clipped: t_max is inf
+        # and the values are (x* A x) log t.
+        A = np.array([[2.5]], dtype=complex)
+        B = np.zeros((1, 1), dtype=complex)
+        ts = [10.0, 100.0, 1000.0, 10000.0]
+        rec = divergence_probe(A, B, ts)
+        assert rec.witness_mass == 2.5
+        assert rec.slope == pytest.approx(2.5, rel=1e-9)
+        assert rec.values == pytest.approx(2.5 * np.log(ts), rel=1e-9)
+
+    @staticmethod
+    def singular_a_pair(rng, n=5):
+        # range(A) = span(U[:, :3]), range(B) = span(U[:, 1:4]): A + B has
+        # the kernel U[:, 4], A has a kernel inside range(A + B) (theta = 0)
+        # and B has one too (theta = 1), and U[:, 0] witnesses divergence.
+        U = linalg.random_unitary(n, rng)
+        Va = U[:, :3] @ linalg.random_unitary(3, rng)
+        Vb = U[:, 1:4] @ linalg.random_unitary(3, rng)
+        A = linalg.rebuild(Va, rng.uniform(0.5, 2.0, 3))
+        B = linalg.rebuild(Vb, np.array([1.5, 0.7, 0.0]))
+        return A, B
+
+    @classmethod
+    def kink_pairs(cls):
+        rng = np.random.default_rng(161)
+        pairs = [unsupported_pair(rng, n, corank) for n, corank in ((2, 1), (5, 2), (12, 3))]
+        for seed, dim, cond in ((1, 3, 10.0), (2, 8, 1e3), (3, 16, 1e6), (4, 32, 1e10)):
+            pairs.append(generate_pair(RunConfig(command="gen", seed=seed, dim=dim, unsupported=True, condition_target=cond)))
+        pairs.append(cls.singular_a_pair(rng))
+        return pairs
+
+    def test_kinks_are_the_sign_scan_crossings(self, monkeypatch):
+        # The probe's kinks come from the relative spectrum against A + B;
+        # the 256-point sign scan of both pencils finds the same set in each
+        # window, within the scan's merge resolution.  The scan runs on the
+        # compressions to range(A + B): on the full space, the pencil branch
+        # that is zero on the kernel of A + B trades sorted places with a
+        # branch that crosses zero, and the scan reports the rounding-level
+        # sign changes of that zero branch as crossings (128 in [1, 10] on
+        # the singular-A pair).
+        windows = []
+        real = quadrature._adaptive
+
+        def recording(f, a, b, tol, kinks=(), **kwargs):
+            windows.append((a, b, np.asarray(kinks)))
+            return real(f, a, b, tol, kinks=kinks, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive", recording)
+        seen = 0
+        for A, B in self.kink_pairs():
+            windows.clear()
+            divergence_probe(A, B, [10.0, 100.0, 1000.0, 10000.0])
+            s, U = np.linalg.eigh(A + B)
+            V = U[:, linalg.range_mask(s)]
+            A1, B1 = V.conj().T @ A @ V, V.conj().T @ B @ V
+            assert [w[:2] for w in windows] == [(1.0, 10.0), (10.0, 100.0), (100.0, 1000.0), (1000.0, 10000.0)]
+            for lo, hi, kinks in windows:
+                scan = np.sort(
+                    np.concatenate(
+                        [
+                            pencil.find_crossings(A1, B1, (lo, hi), method=pencil.SIGN_SCAN).crossings,
+                            pencil.find_crossings(B1, A1, (lo, hi), method=pencil.SIGN_SCAN).crossings,
+                        ]
+                    )
+                )
+                res = 10 * pencil._BISECT_TOL * max(1.0, hi - lo)
+                merged = []
+                for x in kinks:
+                    if not merged or x - merged[-1] > res:
+                        merged.append(x)
+                assert len(merged) == len(scan), (lo, hi, merged, scan)
+                assert np.all(np.abs(np.asarray(merged) - scan) <= res), (lo, hi)
+                seen += len(scan)
+        assert seen > 0
+
+    def test_makes_no_find_crossings_call(self, monkeypatch):
+        calls = []
+        real = pencil.find_crossings
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("frenkel") and getattr(module, "find_crossings", None) is real:
+                monkeypatch.setattr(module, "find_crossings", counting)
+        A, B = unsupported_pair(np.random.default_rng(162), 6, 2)
+        divergence_probe(A, B, [10.0, 100.0, 1000.0])
+        assert calls == []
+        pencil.find_crossings(A, B, (1.0, 10.0))
+        assert calls
 
 
 class TestLeanPanel:

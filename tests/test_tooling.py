@@ -1,4 +1,5 @@
-"""Names that code outside the test suite uses must keep resolving.
+"""Names that code outside the test suite uses must keep resolving, and
+the CLI pipeline must end in a report for every kind of pair it generates.
 
 perfbench/tracing.py replaces (module, attribute) pairs at run time, and the
 scripts under demos/ import the library's public names, so a refactor that
@@ -8,6 +9,8 @@ demo; these tests run them and fail at once instead.
 
 import importlib
 import importlib.util
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +45,23 @@ def test_tracer_targets_resolve(monkeypatch):
     # one function behind two targets would be traced under both span names.
     objects = [getattr(importlib.import_module(module), attr) for module, attr, *_ in tracing.TARGETS]
     assert len({id(obj) for obj in objects}) == len(objects)
+
+
+GEN_KINDS = {"pd": [], "commuting": ["--commuting"], "singular-b": ["--singular-b"], "unsupported": ["--unsupported"]}
+
+
+@pytest.mark.parametrize("kind, dim, cond", list(itertools.product(GEN_KINDS, ("1", "2", "3"), ("1", "1e3"))))
+def test_gen_verify_smoke(monkeypatch, tmp_path, kind, dim, cond):
+    # Every gen kind at the smallest dims: verify ends in exit 0 or 1 with a
+    # report of the item list perfbench's checker expects, never in an
+    # exception or exit 2.
+    tracing = _load_tracing(monkeypatch)
+    cli = importlib.import_module("frenkel.cli")
+    pair, out = tmp_path / "pair.json", tmp_path / "report.json"
+    assert cli.main(["gen", "--seed", "1", "--dim", dim, "--cond", cond, *GEN_KINDS[kind], "-o", str(pair)]) == 0
+    assert cli.main(["verify", "-i", str(pair), "-o", str(out)]) in (0, 1)
+    names = tuple(item["name"] for item in json.loads(out.read_text())["items"])
+    assert names == (("divergence_growth_slope",) if kind == "unsupported" else tracing.CLI_ITEMS)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
