@@ -10,11 +10,9 @@ identity failed, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
-import threading
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass
@@ -110,92 +108,88 @@ def _threads() -> int:
     return workers.thread_count()
 
 
-class _PairMemo:
-    """Route results of one pair, each computed at most once.
+def _definiteness(pair: PreparedPair) -> tuple[bool, bool]:
+    """(B positive definite, A and B positive definite) for a prepared pair
+    with support containment."""
+    b_pd = pair.V is None  # B has full rank: its spectrum clears the zero band
+    return b_pd, b_pd and pair.a_definite
 
-    memo(route, *args) calls route(*args) on first use; callers that arrive
-    meanwhile wait on that route's lock and share its result.  A raised
-    exception is stored with its traceback, and each caller raises its own
-    copy, so concurrent callers never extend one shared traceback.  Results
-    are keyed by the route alone, so a route must always get the pair's same
-    arguments.  A computation never asks the memo for another route, so
-    waiting on one entry cannot deadlock a small item pool.
+
+def _suite_routes(pair: PreparedPair, tol: float) -> dict:
+    """name -> (route, *args) for every result that several suite items
+    read, longest first.
+
+    The routes are looked up in the module globals when the suite runs.  A
+    route only runs where the items that read it do: the chain needs A and
+    B positive definite, the trace pairing B.  On a full-rank B, dlog(B1, A1)
+    is dlog(B, A), read by the two dlog oracles as well.
     """
-
-    def __init__(self):
-        self._guard = threading.Lock()
-        self._cells: dict = {}
-
-    def __call__(self, route, *args):
-        with self._guard:
-            cell = self._cells.setdefault(route, [threading.Lock(), None])
-        with cell[0]:
-            if cell[1] is None:
-                try:
-                    cell[1] = (route(*args), None)
-                except Exception as exc:
-                    cell[1] = (None, exc)
-        value, exc = cell[1]
-        if exc is not None:
-            raise copy.copy(exc).with_traceback(exc.__traceback__)
-        return value
+    A, B = pair.A, pair.B
+    b_pd, both_pd = _definiteness(pair)
+    routes = {"proof_chain_integrals": (proof_chain_integrals, A, B, tol)} if both_pd else {}
+    routes["rhs_frg1"] = (rhs_frg1, A, B, tol)
+    routes["rhs_frg"] = (rhs_frg, A, B, tol)
+    routes["delta_operator"] = (delta_operator, A, B)
+    if b_pd:
+        routes["trace_pairing_check"] = (frechet.trace_pairing_check, B, A)
+    routes["dlog"] = (frechet.dlog, pair.B1, pair.A1)
+    return routes
 
 
-def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
+def _suite_items(pair: PreparedPair, tol: float, route):
     """The fixed list of (name, thunk); each thunk returns a result dict.
 
     pair is prepared, with support containment holding.  The table at the
     end states once whether an item needs B, or A and B, positive definite
     (logs of B, the chain integrals); where the pair does not, its thunk
     returns {"skipped": True}, and the restriction route items cover it.
-    Routes shared by several items go through memo, looked up by module
-    attribute when the item runs.
+    route(name) is the result of the shared route of that name in
+    _suite_routes.
     """
     A, B = pair.A, pair.B
-    b_pd = pair.V is None  # B has full rank: its spectrum clears the zero band
-    both_pd = b_pd and pair.a_definite
+    b_pd, both_pd = _definiteness(pair)
     scale_tr = max(1.0, abs(float(np.trace(A).real)))
 
     def main_identity():
-        delta = memo(delta_operator, A, B).delta
-        r = memo(rhs_frg1, A, B, tol)
+        delta = route("delta_operator").delta
+        r = route("rhs_frg1")
         return {"residual": float(np.linalg.norm(r.value - delta, 2)), "threshold": 100 * tol}
 
     def form_equivalence():
-        r1 = memo(rhs_frg1, A, B, tol)
-        r2 = memo(rhs_frg, A, B, tol)
+        r1 = route("rhs_frg1")
+        r2 = route("rhs_frg")
         return {"residual": float(np.linalg.norm(r1.value - r2.value, 2)), "threshold": 2 * tol}
 
     def trace_formula():
-        d = memo(delta_operator, A, B).trace_div
+        d = route("delta_operator").trace_div
         return {"residual": abs(frenkel_trace(A, B, tol) - d), "threshold": 100 * tol}
 
     def trace_consistency():
-        rep = memo(delta_operator, A, B)
+        rep = route("delta_operator")
         return {
             "residual": rep.residual_trace_consistency,
             "threshold": 1e-8 * (1 + abs(rep.trace_div)),
         }
 
     def pairing_trace():
-        r1, _ = memo(frechet.trace_pairing_check, B, A)
+        r1, _ = route("trace_pairing_check")
         return {"residual": r1, "threshold": 1e-9 * scale_tr}
 
     def pairing_identity():
-        _, r2 = memo(frechet.trace_pairing_check, B, A)
+        _, r2 = route("trace_pairing_check")
         return {"residual": r2, "threshold": 1e-10}
 
     def chain_identity():
-        pc = memo(proof_chain_integrals, A, B, tol)
-        u = memo(rhs_frg1, A, B, tol).value
+        pc = route("proof_chain_integrals")
+        u = route("rhs_frg1").value
         return {"residual": float(np.linalg.norm(u + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
 
     def log_difference_representation():
-        pc = memo(proof_chain_integrals, A, B, tol)
+        pc = route("proof_chain_integrals")
         return {"residual": pc.residual_log_difference, "threshold": 10 * tol}
 
     def dlog_representation():
-        pc = memo(proof_chain_integrals, A, B, tol)
+        pc = route("proof_chain_integrals")
         return {"residual": pc.residual_dlog_representation, "threshold": 10 * tol}
 
     def log_resolvent_oracle():
@@ -211,16 +205,15 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
 
     def dlog_resolvent_oracle():
         got = resolvent.dlog_resolvent(B, A, tol)
-        return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-6}
+        return {"residual": float(np.linalg.norm(got - route("dlog"), 2)), "threshold": 1e-6}
 
     def dlog_fd_oracle():
         got = frechet.dlog_fd_oracle(B, A)
-        return {"residual": float(np.linalg.norm(got - memo(frechet.dlog, B, A), 2)), "threshold": 1e-7}
+        return {"residual": float(np.linalg.norm(got - route("dlog"), 2)), "threshold": 1e-7}
 
     def bdlog_product_oracle():
         pr = resolvent.bdlog_product(A, B, tol)
-        # On a full-rank B, (B1, A1) is (B, A): the dlog the other items share.
-        target = embed(pair.V, pair.B1 @ memo(frechet.dlog, pair.B1, pair.A1), A.shape[0])
+        target = embed(pair.V, pair.B1 @ route("dlog"), A.shape[0])
         residual = float(np.linalg.norm(pr.value - target, 2))
         bound_excess = max(0.0, pr.value_norm - pr.bound * (1 + 1e-6) - tol)
         return {
@@ -250,12 +243,12 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
         return {"residual": lhs - rhs * (1 + 1e-9), "threshold": 0.0, "lhs": lhs, "rhs": rhs}
 
     def delta_psd():
-        rep = memo(delta_operator, A, B)
+        rep = route("delta_operator")
         scale = max(opnorm(rep.delta), 1.0)
         return {"residual": -rep.delta_min_eigenvalue, "threshold": DELTA_PSD_SLACK * scale}
 
     def quadrature_psd():
-        r = memo(rhs_frg1, A, B, tol)
+        r = route("rhs_frg1")
         min_eig = float(np.linalg.eigvalsh(r.value).min())
         return {"residual": -min_eig, "threshold": r.error_estimate + 1e-10}
 
@@ -283,24 +276,14 @@ def _suite_items(pair: PreparedPair, tol: float, memo: _PairMemo):
     return [(name, thunk if met else (lambda: {"skipped": True})) for name, met, thunk in table]
 
 
-def _shared_routes(pair: PreparedPair) -> list:
-    """The quadrature routes that several suite items read, longest first.
-
-    Each takes (A, B, tol) through the memo; the chain runs only when both
-    operands are positive definite, as the items that read it do.
-    """
-    chain = [proof_chain_integrals] if pair.V is None and pair.a_definite else []
-    return chain + [rhs_frg1, rhs_frg]
-
-
 def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics: bool = False) -> dict:
     """Run every identity check on one pair and assemble the JSON report.
 
     Pairs without support containment route to the divergence probe instead;
     their single check is the growth slope against log t.  diagnostics adds
     the panel logs of the suite's own two quadratures.  FRENKEL_THREADS
-    sizes the shared executor that the items, and the panel chunks of their
-    quadratures, run on.
+    sizes the shared executor that the shared routes, the items and the
+    panel chunks of their quadratures run on.
     """
     pair = prepare_pair(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
@@ -327,29 +310,18 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
         return report
 
     report["dichotomy"] = "finite"
-    memo = _PairMemo()
-    items = _suite_items(pair, tol, memo)
-    n_workers = _threads()
-
-    def run_one(item):
-        name, thunk = item
-        return name, thunk()
-
+    items = _suite_items(pair, tol, lambda name: routes[name].result())
+    # The executor the quadrature driver fans panel chunks out over too, at
+    # any FRENKEL_THREADS.  Its queue is FIFO and the routes go in first, so
+    # an item only waits on a route that is running or done, and a route
+    # never waits on an item.
+    pool = workers.executor(_threads())
     t0 = time.perf_counter()
-    if n_workers > 1:
-        # The executor the quadrature driver fans panel chunks out over too,
-        # so items and chunks share its n_workers threads.  The shared routes
-        # start first, so the first items do not hold a worker blocked on a
-        # route another worker computes; their readers find them in the memo.
-        pool = workers.executor(n_workers)
-        ahead = [pool.submit(memo, route, pair.A, pair.B, tol) for route in _shared_routes(pair)]
-        futures = [pool.submit(run_one, it) for it in items]
-        wait(ahead + futures)
-        results = [fut.result() for fut in futures]
-        for fut in ahead:
-            fut.result()
-    else:
-        results = [run_one(it) for it in items]
+    routes = {name: pool.submit(*spec) for name, spec in _suite_routes(pair, tol).items()}
+    futures = [pool.submit(thunk) for _, thunk in items]
+    # Nothing is left running, also when a route or an item raises.
+    wait([*routes.values(), *futures])
+    results = [(name, fut.result()) for (name, _), fut in zip(items, futures)]
     wall = time.perf_counter() - t0
 
     entries = []
@@ -368,8 +340,8 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
     report["all_pass"] = bool(all_pass)
     if diagnostics:
         report["diagnostics"] = {
-            "gamma_form": _panel_log(memo(rhs_frg1, A, B, tol)),
-            "t_line": _panel_log(memo(rhs_frg, A, B, tol)),
+            "gamma_form": _panel_log(routes["rhs_frg1"].result()),
+            "t_line": _panel_log(routes["rhs_frg"].result()),
         }
     # Timings stay out of the report so repeated runs serialize identically.
     print(f"suite: {len(entries)} items in {wall:.2f}s (wall)", file=sys.stderr)

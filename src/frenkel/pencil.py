@@ -75,8 +75,9 @@ def find_crossings(
     For B positive definite by linalg.positive_definite_spectrum the
     crossings are exactly the relative spectrum, the eigenvalues of
     B^{-1/2} A B^{-1/2} (the pencil is singular precisely there); otherwise
-    a 256-point sign scan of the sorted branches is refined by bisection,
-    with identically-zero branches excluded.  method forces one route
+    a 256-point sign scan of the sorted branches, off the common kernel of
+    A and B, is refined by bisection, with identically-zero branches
+    excluded.  method forces one route
     ("generalized_eig" needs definite B); the default picks automatically.
     """
     A = hermitian_part(np.asarray(A, dtype=complex))
@@ -95,6 +96,15 @@ def find_crossings(
         inside = gen[(gen >= lo) & (gen <= hi)]
         return PencilCrossings(crossings=np.sort(inside), method=GENERALIZED_EIG)
 
+    # Off the common kernel of A and B: there the pencil is identically
+    # zero, and that branch, trading sorted places with a crossing one,
+    # would scan as rounding-level sign changes.
+    _, s, Vh = np.linalg.svd(np.vstack([A, B]), full_matrices=False)
+    keep = range_mask(s)
+    if not keep.all():
+        W = Vh[keep]
+        A = hermitian_part(W @ A @ W.conj().T)
+        B = hermitian_part(W @ B @ W.conj().T)
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     curves = eigencurves(A, B, grid)
     # A branch whose every value lies in the zero band of all the curves is

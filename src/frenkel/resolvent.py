@@ -28,7 +28,7 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _halfline(fx, c: float, tol: float) -> tuple[np.ndarray, QuadratureResult]:
+def _halfline(fx, c: float, tol: float) -> QuadratureResult:
     """integral_0^inf fx(x) dx via x = c s/(1-s); fx maps (m,) -> (m, n, n)."""
 
     def g(ss):
@@ -36,8 +36,7 @@ def _halfline(fx, c: float, tol: float) -> tuple[np.ndarray, QuadratureResult]:
         w = c / (1.0 - ss) ** 2
         return fx(x) * w[:, None, None]
 
-    res = _adaptive(g, 0.0, _S_CUT, tol)
-    return res.value, res
+    return _adaptive(g, 0.0, _S_CUT, tol)
 
 
 def _x_cut(c: float) -> float:
@@ -66,8 +65,7 @@ def log_resolvent(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     def fx(xs):
         return np.eye(n)[None] / (1.0 + xs)[:, None, None] - _shifted_inv(B, xs)
 
-    value, _ = _halfline(fx, c, tol)
-    return hermitian_part(value)
+    return hermitian_part(_halfline(fx, c, tol).value)
 
 
 def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -84,8 +82,7 @@ def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         inv = np.linalg.inv(A2[None] + (xs**2)[:, None, None] * np.eye(n)[None])
         return (2.0 / math.pi) * (A2[None] @ inv)
 
-    value, _ = _halfline(fx, c, tol)
-    return hermitian_part(value)
+    return hermitian_part(_halfline(fx, c, tol).value)
 
 
 def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -101,8 +98,7 @@ def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = 1e-8) -> np.ndarra
         R = _shifted_inv(B, xs)
         return R @ A[None] @ R
 
-    value, _ = _halfline(fx, c, tol)
-    return hermitian_part(value)
+    return hermitian_part(_halfline(fx, c, tol).value)
 
 
 @dataclass(frozen=True)
@@ -163,15 +159,15 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> ProductInt
             raise ValueError("bdlog_product: ker B does not annihilate A; the integral diverges")
     B1 = _check_pd(B1, "bdlog_product: B on range(B)")
     consts = domination_constants(A1, B1)
-    c = max(opnorm(A1), opnorm(B1), 1.0)
+    norm_b = opnorm(B1)
+    c = max(opnorm(A1), norm_b, 1.0)
 
     def fx(xs):
         R = _shifted_inv(B1, xs)
         return B1[None] @ R @ A1[None] @ R
 
-    value1, res = _halfline(fx, c, tol)
-    value = embed(V, value1, n)
-    norm_b = opnorm(B1)
+    res = _halfline(fx, c, tol)
+    value = embed(V, res.value, n)
     tail = consts.alpha * norm_b**2 / (norm_b + _x_cut(c))
     bound = consts.alpha * norm_b
     vnorm = _spectral_norm(value)
@@ -216,13 +212,14 @@ def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> LogCha
     if A.shape != B.shape:
         raise ValueError("alogdiff_integral: dimension mismatch")
     consts = domination_constants(A, B)
-    c = max(opnorm(A), opnorm(B), 1.0)
+    norm_a, norm_b = opnorm(A), opnorm(B)
+    c = max(norm_a, norm_b, 1.0)
 
     def fx(xs):
         return A[None] @ (_shifted_inv(B, xs) - _shifted_inv(A, xs))
 
-    value, res = _halfline(fx, c, tol)
-    norm_a, norm_b = opnorm(A), opnorm(B)
+    res = _halfline(fx, c, tol)
+    value = res.value
     if abs(norm_a - norm_b) <= 1e-12 * max(norm_a, norm_b):
         log_factor = 1.0 / norm_a
     else:
@@ -272,8 +269,7 @@ def regularization_ladder(A: np.ndarray, B: np.ndarray, tol: float = 1e-8, epsil
         def fx(xs):
             return A[None] @ (_shifted_inv(B + eps * eye, xs) - _shifted_inv(A + eps * eye, xs))
 
-        value, _ = _halfline(fx, c, tol)
-        return value
+        return _halfline(fx, c, tol).value
 
     base = chain(0.0)
     return [(float(eps), _spectral_norm(chain(float(eps)) - base)) for eps in epsilons]

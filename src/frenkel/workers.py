@@ -1,8 +1,8 @@
 """The FRENKEL_THREADS setting and the executor every frenkel worker thread comes from.
 
-The verify suite runs its items on the executor, and the quadrature driver
-fans its initial panels out over the executor its caller runs on, so items
-and panel chunks together never use more threads than the executor has.
+The verify suite runs its shared routes and items on the executor, and the
+quadrature driver fans its initial panels out over the executor its caller
+runs on, so they together never use more threads than the executor has.
 Executors are created on first use, one per thread count, and their threads
 start as work is submitted; importing this module starts none.
 """

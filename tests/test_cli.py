@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 import types
 from collections import Counter
 from pathlib import Path
@@ -146,6 +145,30 @@ class TestVerify:
         assert "frenkel: error: chain failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_route_is_left_running_after_a_raise(self, tmp_path, monkeypatch, capsys):
+        # The chain raises at once while dlog, read only by items after the
+        # chain's readers, still sleeps: main must not return before it ends.
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "r.json"
+        main(["gen", "--seed", "17", "--dim", "3", "-o", str(pair)])
+        finished = threading.Event()
+
+        def boom(A, B, tol):
+            raise ValueError("chain failed")
+
+        def slow_dlog(*args):
+            time.sleep(0.5)
+            finished.set()
+            return frechet.dlog(*args)
+
+        monkeypatch.setattr(cli, "proof_chain_integrals", boom)
+        monkeypatch.setattr(cli, "frechet", types.SimpleNamespace(**{**vars(frechet), "dlog": slow_dlog}))
+        monkeypatch.setenv("FRENKEL_THREADS", "2")
+        assert main(["verify", "-i", str(pair), "-o", str(out)]) == 2
+        assert finished.is_set()
+        assert "frenkel: error: chain failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hermiticity_defect_exits_two(self, tmp_path, capsys):
         pair = tmp_path / "pair.json"
         main(["gen", "--seed", "3", "--dim", "4", "-o", str(pair)])
@@ -251,8 +274,8 @@ class TestPanelFanOutInVerify:
                 runner.join(timeout=120)
                 assert not runner.is_alive(), f"verify did not finish ({case}, {threads} threads)"
                 assert rc == [0]
-                # One executor lookup for the items, the rest from panel fan-outs.
-                assert (pools.count(int(threads)) > 1 if threads != "1" else not pools), (threads, pools)
+                # One executor lookup for the suite, the rest from panel fan-outs.
+                assert (pools.count(int(threads)) > 1 if threads != "1" else pools == [1]), (threads, pools)
                 outs[threads, min_s] = out.read_bytes()
             assert len(set(outs.values())) == 1, case
 
@@ -322,47 +345,6 @@ class TestSharedRoutes:
         assert sorted(routes) == sorted((["proof_chain_integrals"] if not flags else []) + ["rhs_frg1", "rhs_frg"])
         for route in routes:
             assert all(starts.index(route) < starts.index(item) for item in readers[route]), (route, starts)
-
-    def test_memo_computes_once_under_contention(self):
-        memo = cli._PairMemo()
-        calls = []
-
-        def slow():
-            calls.append(1)
-            time.sleep(0.01)
-            return object()
-
-        def failing():
-            calls.append(2)
-            raise ArithmeticError("once")
-
-        results = []
-        errors = []
-
-        def worker():
-            results.append(memo(slow))
-            try:
-                memo(failing)
-            except ArithmeticError as exc:
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(calls) == [1, 2]
-        assert len(results) == 16 and all(r is results[0] for r in results)
-        # Each caller raises its own copy; no re-raise extends another's traceback.
-        assert len(errors) == 16 and len({id(e) for e in errors}) == 16
-        assert all(str(e) == "once" for e in errors)
-        assert len({len(traceback.extract_tb(e.__traceback__)) for e in errors}) == 1
 
 
 class TestModuleEntryPoint:

@@ -187,7 +187,9 @@ class TestDefiniteness:
 
     def test_every_pd_check_agrees(self):
         def verify_gate(M):
-            item = dict(cli._suite_items(divergence.prepare_pair(M, M), 1e-8, cli._PairMemo()))["pairing_trace"]
+            pair = divergence.prepare_pair(M, M)
+            routes = cli._suite_routes(pair, 1e-8)
+            item = dict(cli._suite_items(pair, 1e-8, lambda name: routes[name][0](*routes[name][1:])))["pairing_trace"]
             if item().get("skipped"):
                 raise ValueError("item skipped: B not PD")
 

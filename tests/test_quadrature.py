@@ -503,12 +503,7 @@ class TestDivergenceProbe:
     def test_kinks_are_the_sign_scan_crossings(self, monkeypatch):
         # The probe's kinks come from the relative spectrum against A + B;
         # the 256-point sign scan of both pencils finds the same set in each
-        # window, within the scan's merge resolution.  The scan runs on the
-        # compressions to range(A + B): on the full space, the pencil branch
-        # that is zero on the kernel of A + B trades sorted places with a
-        # branch that crosses zero, and the scan reports the rounding-level
-        # sign changes of that zero branch as crossings (128 in [1, 10] on
-        # the singular-A pair).
+        # window, within the scan's merge resolution.
         windows = []
         real = quadrature._adaptive
 
@@ -521,16 +516,13 @@ class TestDivergenceProbe:
         for A, B in self.kink_pairs():
             windows.clear()
             divergence_probe(A, B, [10.0, 100.0, 1000.0, 10000.0])
-            s, U = np.linalg.eigh(A + B)
-            V = U[:, linalg.range_mask(s)]
-            A1, B1 = V.conj().T @ A @ V, V.conj().T @ B @ V
             assert [w[:2] for w in windows] == [(1.0, 10.0), (10.0, 100.0), (100.0, 1000.0), (1000.0, 10000.0)]
             for lo, hi, kinks in windows:
                 scan = np.sort(
                     np.concatenate(
                         [
-                            pencil.find_crossings(A1, B1, (lo, hi), method=pencil.SIGN_SCAN).crossings,
-                            pencil.find_crossings(B1, A1, (lo, hi), method=pencil.SIGN_SCAN).crossings,
+                            pencil.find_crossings(A, B, (lo, hi), method=pencil.SIGN_SCAN).crossings,
+                            pencil.find_crossings(B, A, (lo, hi), method=pencil.SIGN_SCAN).crossings,
                         ]
                     )
                 )
@@ -543,6 +535,25 @@ class TestDivergenceProbe:
                 assert np.all(np.abs(np.asarray(merged) - scan) <= res), (lo, hi)
                 seen += len(scan)
         assert seen > 0
+
+    def test_full_space_scan_skips_the_common_kernel(self):
+        # A + B is singular here.  On the full space, the pencil branch that
+        # is zero on its kernel trades sorted places with a branch that
+        # crosses zero; without the compression off the common kernel the
+        # scan reported 128 rounding-level crossings in [1, 10].
+        A, B = self.singular_a_pair(np.random.default_rng(163))
+        kinks = quadrature._probe_kinks(A, B)
+        want = kinks[(kinks >= 1.0) & (kinks <= 10.0)]
+        scan = np.sort(
+            np.concatenate(
+                [
+                    pencil.find_crossings(A, B, (1.0, 10.0), method=pencil.SIGN_SCAN).crossings,
+                    pencil.find_crossings(B, A, (1.0, 10.0), method=pencil.SIGN_SCAN).crossings,
+                ]
+            )
+        )
+        assert want.size >= 1
+        assert scan == pytest.approx(want, abs=10 * pencil._BISECT_TOL * 9.0)
 
     def test_makes_no_find_crossings_call(self, monkeypatch):
         calls = []

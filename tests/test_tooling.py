@@ -80,7 +80,9 @@ def test_suite_items_keep_the_tracer_contract(monkeypatch):
     prepare_pair = importlib.import_module("frenkel.divergence").prepare_pair
     B = np.diag([2.0, 1.0, 0.0]).astype(complex)  # singular B, A inside range(B)
     A = np.diag([1.0, 3.0, 0.0]).astype(complex)
-    items = cli._suite_items(prepare_pair(A, B), 1e-8, cli._PairMemo())
+    pair = prepare_pair(A, B)
+    routes = cli._suite_routes(pair, 1e-8)
+    items = cli._suite_items(pair, 1e-8, lambda name: routes[name][0](*routes[name][1:]))
     assert all(len(item) == 2 and callable(item[1]) for item in items)
     assert tuple(name for name, _ in items) == tracing.CLI_ITEMS
     outs = {name: thunk() for name, thunk in items}
@@ -97,3 +99,28 @@ def test_suite_items_keep_the_tracer_contract(monkeypatch):
         "alogdiff_oracle",
     }
     assert all(outs[name] == {"skipped": True} for name in skipped)
+
+
+@pytest.mark.parametrize("kind", ["pd", "commuting", "singular-b"])
+def test_suite_route_table_matches_the_items(kind):
+    # verify runs every route of cli._suite_routes ahead of the items, so a
+    # route no item reads is wasted work, and an item that reads a name
+    # outside the table has no result to wait on.
+    cli = importlib.import_module("frenkel.cli")
+    prepare_pair = importlib.import_module("frenkel.divergence").prepare_pair
+    A, B = cli.generate_pair(
+        cli.RunConfig(command="gen", seed=5, dim=4, commuting=kind == "commuting", singular_b=kind == "singular-b")
+    )
+    pair = prepare_pair(A, B)
+    routes = cli._suite_routes(pair, 1e-8)
+    reads = set()
+
+    def route(name):
+        assert name in routes, name
+        reads.add(name)
+        fn, *args = routes[name]
+        return fn(*args)
+
+    for _, thunk in cli._suite_items(pair, 1e-8, route):
+        thunk()
+    assert reads == set(routes)
