@@ -22,7 +22,6 @@ from .linalg import (
     eig_hermitian,
     hermitian_part,
     hermiticity_defect,
-    matrix_exp,
     matrix_log,
     opnorm,
     parts,
@@ -125,7 +124,6 @@ __all__ = [
     "kato_continuity_check",
     "loewner_log",
     "log_resolvent",
-    "matrix_exp",
     "matrix_log",
     "o_gamma",
     "opnorm",

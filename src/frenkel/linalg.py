@@ -197,11 +197,6 @@ def log_of(dec: SpectralDecomposition) -> np.ndarray:
     return rebuild(dec.eigenvectors, np.log(w))
 
 
-def matrix_exp(T: np.ndarray) -> np.ndarray:
-    dec = eig_hermitian(T)
-    return rebuild(dec.eigenvectors, np.exp(dec.eigenvalues))
-
-
 def schatten_norm(T: np.ndarray, p: float) -> float:
     """Schatten p-norm (sum |eigenvalue|^p)^(1/p); p = inf gives the operator norm."""
     if not (p >= 1):

@@ -287,7 +287,9 @@ _PENCILS = {
 }
 
 
-def clipped_integral(pair: PreparedPair, form: str, integrand: Callable, tol: float) -> Optional[QuadratureResult]:
+def clipped_integral(
+    pair: PreparedPair, form: str, integrand: Callable, tol: float, head: float = 0.0
+) -> Optional[QuadratureResult]:
     """One clipped-pencil integral of a prepared pair on its exact support.
 
     form fixes the coordinate, its domain and the pencil:
@@ -300,7 +302,13 @@ def clipped_integral(pair: PreparedPair, form: str, integrand: Callable, tol: fl
     eigenvalues sigma inside them, mapped to the coordinate, are the kinks.
     integrand(M, c) maps the pencil stack and the gamma (or u) of each node
     to the stacked values.  Returns None when the domain is empty.
+
+    head (u form only): kinks at or below max(a, head) are not pre-split,
+    so [a, head] lies inside the first panel, which the tree refines only
+    if its own error estimate asks for it.
     """
+    if head and form != "u":
+        raise ValueError("clipped_integral: head applies to the u form only")
     sigma = pair.sigma
     if form == "u":
         a, b = float(max(sigma.min(), 0.0)), 1.0
@@ -308,7 +316,7 @@ def clipped_integral(pair: PreparedPair, form: str, integrand: Callable, tol: fl
         a, b = 1.0, float(max(sigma.max(), 0.0))
     if a >= b:
         return None
-    kinks = sigma[(sigma > a) & (sigma < b)]
+    kinks = sigma[(sigma > max(a, head)) & (sigma < b)]
     if form == "s":
         a, b, kinks = 0.0, 1.0 - 1.0 / b, 1.0 - 1.0 / kinks
     A1, B1, pencil = pair.A1, pair.B1, _PENCILS[form]

@@ -249,27 +249,3 @@ def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> LogCha
         tail_bound=tail,
         error_estimate=res.error_estimate,
     )
-
-
-def regularization_ladder(A: np.ndarray, B: np.ndarray, tol: float = 1e-8, epsilons=(1e-2, 1e-4, 1e-6, 1e-8)):
-    """Convergence study of the shifted chain integral A(log(A+eps) - log(B+eps)).
-
-    Returns [(eps, distance to the unshifted integral)]; the distances
-    decay to zero as eps does, which is directly observable at finite
-    dimension.
-    """
-    A = _check_pd(A, "regularization_ladder: A")
-    B = _check_pd(B, "regularization_ladder: B")
-    n = A.shape[0]
-    eye = np.eye(n)
-
-    def chain(eps):
-        c = max(opnorm(A), opnorm(B), 1.0) + eps
-
-        def fx(xs):
-            return A[None] @ (_shifted_inv(B + eps * eye, xs) - _shifted_inv(A + eps * eye, xs))
-
-        return _halfline(fx, c, tol).value
-
-    base = chain(0.0)
-    return [(float(eps), _spectral_norm(chain(float(eps)) - base)) for eps in epsilons]

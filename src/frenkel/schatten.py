@@ -19,7 +19,7 @@ from . import frechet
 from .divergence import delta_operator, prepare_pair
 from .io import write_csv
 from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
-from .quadrature import _scalar_total, clipped_integral
+from .quadrature import U_FLOOR, _scalar_total, clipped_integral
 
 LAWS = ("power", "geom")
 SIGN_PATTERNS = ("pos", "alt", "seeded")
@@ -187,6 +187,52 @@ def _clipped_eigs(mats: np.ndarray) -> np.ndarray:
     return np.where(w > 0.0, w, 0.0)
 
 
+def _pnorm_over(p: float):
+    """budget_e_p's integrand c^-1 ||(M)_+||_p over a pencil stack."""
+
+    def f(M, c):
+        return _pnorm_rows(_clipped_eigs(M), p) / c
+
+    return f
+
+
+def _u_head(pair, p: float, tol: float) -> tuple[float, float]:
+    """The head delta of budget_e_p's u-integral and a bound on that
+    integral over [a, delta], a = max(sigma_min, 0); (0.0, 0.0) for none.
+
+    A1 >= -eps I, so by Weyl's monotonicity theorem (Bhatia, Matrix
+    Analysis, 1997, III.2) each eigenvalue of u B1 - A1 is at most the same
+    eigenvalue of u B1 + eps I, and ||(u B1 - A1)_+||_p <= u ||B1||_p +
+    eps n^(1/p).  With the pencil's u clamped at U_FLOOR, the integrand is
+    then at most ||B1||_p + eps n^(1/p) / max(u, U_FLOOR), and its integral
+    over [a, delta], for delta >= max(a, U_FLOOR), at most
+
+        delta ||B1||_p + eps n^(1/p) (1 + log(delta / max(a, U_FLOOR))).
+
+    eps is A1's negative part plus the eigensolver's rounding, n eps_mach
+    ||A1||, from one eigvalsh(A1).  With E the eps term at tol / (4 ||B1||_p),
+    which is at least the eps term at any smaller delta, delta is
+    (tol/4 - E) / ||B1||_p, so the bound is at most tol/4.  When E exceeds
+    tol/8, or delta does not pass max(a, U_FLOOR), nothing is dropped.
+    """
+    w = np.linalg.eigvalsh(pair.A1)
+    n = w.size
+    eps = max(-float(w[0]), 0.0) + n * np.finfo(float).eps * float(np.abs(w).max())
+    b_norm = float(_pnorm_rows(pair.b1_eigh[0][None], p)[0])
+    floor = max(float(pair.sigma.min()), U_FLOOR)
+
+    def eps_term(delta):
+        return eps * n ** (1.0 / p) * (1.0 + math.log(delta / floor))
+
+    top = tol / (4 * b_norm)
+    if not top > floor or eps_term(top) > tol / 8:
+        return 0.0, 0.0
+    delta = (tol / 4 - eps_term(top)) / b_norm
+    if not delta > floor:
+        return 0.0, 0.0
+    return delta, delta * b_norm + eps_term(delta)
+
+
 def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> float:
     """The p-norm integral budget
 
@@ -194,17 +240,24 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
       + integral_0^1            ||(B - A/u)_+||_p du,
 
     finite by construction at finite dimension; inf when support fails.
+    Each integral runs to tol.  The u-integral pre-splits only the kinks
+    above its head (see _u_head), a stretch whose integral is at most tol/4.
+    Raises ValueError when either integral ends unconverged.
     """
     pair = prepare_pair(A, B)
     if not (p >= 1):
         raise ValueError("budget_e_p: p must be >= 1 or inf")
     if not pair.support.holds:
         return math.inf
-
-    def pnorm_over(M, c):
-        return _pnorm_rows(_clipped_eigs(M), p) / c
-
-    return _scalar_total([clipped_integral(pair, form, pnorm_over, tol) for form in ("gamma", "u")])
+    integrand = _pnorm_over(p)
+    results = {"gamma": clipped_integral(pair, "gamma", integrand, tol)}
+    results["u"] = clipped_integral(pair, "u", integrand, tol, head=_u_head(pair, p, tol)[0])
+    for form, r in results.items():
+        if r is not None and not r.converged:
+            raise ValueError(
+                f"budget_e_p: the {form} integral did not converge (error estimate {r.error_estimate:.6g} > tol {tol:.6g})"
+            )
+    return _scalar_total(results.values())
 
 
 def _power_of_two_grid(N: int) -> np.ndarray:

@@ -403,6 +403,21 @@ class TestClippedIntegral:
             assert float(r.value) == pytest.approx(b - a, rel=1e-13), form
             assert max(seen) == 0.0, form
 
+    def test_head_leaves_low_kinks_unsplit(self):
+        pair = self.pair_straddling_one()
+        sigma = pair.sigma
+        inner = np.sort(sigma[(sigma > sigma.min()) & (sigma < 1.0)])
+        assert inner.size >= 2
+        head = 0.5 * (inner[0] + inner[1])
+        ones = lambda M, c: np.ones(len(c))
+        r = quadrature.clipped_integral(pair, "u", ones, 1e-10, head=head)
+        edges = {x for iv, _ in r.panels for x in iv}
+        assert inner[0] not in edges and head not in edges
+        assert set(inner[1:].tolist()) <= edges
+        assert float(r.value) == pytest.approx(1.0 - float(sigma.min()), rel=1e-13)
+        with pytest.raises(ValueError, match="u form only"):
+            quadrature.clipped_integral(pair, "gamma", ones, 1e-10, head=head)
+
     def test_empty_domains(self):
         rng = np.random.default_rng(152)
         B = rand_pd(rng, 4)

@@ -180,17 +180,6 @@ class TestALogDiff:
                 assert li.within_b
 
 
-class TestRegularizationLadder:
-    def test_distances_decay(self):
-        rng = np.random.default_rng(173)
-        A = rand_pd(rng, 3)
-        B = rand_pd(rng, 3)
-        ladder = resolvent.regularization_ladder(A, B, TOL, epsilons=(1e-2, 1e-4, 1e-6))
-        dists = [d for _, d in ladder]
-        assert all(a > b for a, b in zip(dists, dists[1:]))
-        assert dists[-1] <= 1e-4
-
-
 class TestSweep:
     def test_all_oracles_across_sizes(self):
         rng = np.random.default_rng(174)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from frenkel import schatten
+from frenkel import linalg, quadrature, schatten
+from frenkel.divergence import prepare_pair
 from frenkel.schatten import CompactModel
-from util import rand_herm
+from util import rand_herm, rand_pd
 
 
 def geom_model(N=8, signs="pos", seed=-1, p=1.0):
@@ -177,6 +178,91 @@ class TestBudget:
         tau = domination_tau(A, B)
         assert math.isfinite(tau)
         assert math.isfinite(schatten.budget_e_p(A, B, 2.0))
+
+
+def dominated_pair(N, seed=1):
+    """Criterion 9's dominated family: geometric 0.6 against power 2.0, jointly rotated."""
+    a = CompactModel(master_dim=N, law="geom", param=0.6, signs="pos", rotation_seed=seed, p=2.0)
+    b = CompactModel(master_dim=N, law="power", param=2.0, signs="pos", rotation_seed=seed, p=2.0)
+    return schatten.synth_compact(a), schatten.synth_compact(b)
+
+
+def singular_a_pair():
+    """A of rank 3 against a PD B: sigma_min is zero up to rounding, so a = 0."""
+    rng = np.random.default_rng(186)
+    U = linalg.random_unitary(6, rng)
+    A = linalg.hermitian_part((U * np.array([1.0, 0.5, 0.25, 0.0, 0.0, 0.0])) @ U.conj().T)
+    return A, rand_pd(rng, 6)
+
+
+def rounding_negative_pair():
+    """A with an eigenvalue of -1e-10 against ||A|| = 1e6, inside the PSD
+    slack, and B = I.  At p = inf the u-integrand on (0, 1] is
+    (u + 1e-10) / u, so the stretch's integral exceeds delta ||B1||_p by
+    1e-10 (1 + log(delta / U_FLOOR)): only the eps term covers it."""
+    return np.diag([1e6, -1e-10]).astype(complex), np.eye(2, dtype=complex)
+
+
+HEAD_PAIRS = {
+    "dominated-72": lambda: dominated_pair(72),
+    "dominated-80": lambda: dominated_pair(80),
+    "dominated-88": lambda: dominated_pair(88),
+    "singular-a": singular_a_pair,
+    "rounding-negative": rounding_negative_pair,
+}
+
+
+class TestBudgetHead:
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("name", list(HEAD_PAIRS))
+    def test_stretch_integral_within_bound(self, name, p):
+        pair = prepare_pair(*HEAD_PAIRS[name]())
+        delta, bound = schatten._u_head(pair, p, self.TOL)
+        assert delta > 0.0
+        # tol/4 in exact arithmetic; the sum that forms it may round up an ulp
+        assert bound <= self.TOL / 4 * (1 + 4 * np.finfo(float).eps)
+        # the u-integral over [a, delta], pre-split at every kink inside it
+        sigma = pair.sigma
+        a = max(float(sigma.min()), 0.0)
+        integrand = schatten._pnorm_over(p)
+        f = lambda us: integrand(*quadrature._u_pencil(pair.A1, pair.B1, us))
+        r = quadrature._adaptive(f, a, delta, 1e-12, kinks=sigma[(sigma > a) & (sigma < delta)])
+        assert r.converged
+        assert float(r.value) <= bound
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_value_matches_every_kink_split(self, p):
+        A, B = dominated_pair(88)
+        pair = prepare_pair(A, B)
+        integrand = schatten._pnorm_over(p)
+        want = sum(float(quadrature.clipped_integral(pair, form, integrand, self.TOL).value) for form in ("gamma", "u"))
+        assert abs(schatten.budget_e_p(A, B, p, tol=self.TOL) - want) <= self.TOL / 4
+
+    def test_evaluations_at_n88(self, monkeypatch):
+        # 1095/1035/1035 (p = inf/2/1) with every u kink pre-split; 720/660/675 with the head
+        A, B = dominated_pair(88)
+        real = quadrature._adaptive
+        evals = []
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            evals.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(quadrature, "_adaptive", counting)
+        for p in (1.0, 2.0, math.inf):
+            evals.clear()
+            schatten.budget_e_p(A, B, p, tol=self.TOL)
+            assert sum(evals) <= 720, p
+
+    def test_unconverged_integral_raises(self, monkeypatch):
+        A, B = dominated_pair(16)
+        real = quadrature._adaptive
+        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
+        with pytest.raises(ValueError, match=r"the (gamma|u) integral did not converge \(error estimate"):
+            schatten.budget_e_p(A, B, 2.0, tol=1e-10)
 
 
 class TestTheorem3:
