@@ -193,7 +193,7 @@ def domination_tau(A: np.ndarray, B: np.ndarray) -> float:
     pair = prepare_pair(A, B)
     if not pair.support.holds:
         return math.inf
-    return float(max(pair.sigma[0], 0.0))
+    return float(pair.sigma.max(initial=0.0))
 
 
 def _xlogx(x: float) -> float:
@@ -211,7 +211,7 @@ def _block_chain(A1: np.ndarray, B1: np.ndarray, b1_dec: Optional[SpectralDecomp
     dec = eig_hermitian(A1)
     w = dec.eigenvalues
     w = np.where(range_mask(np.abs(w)), w, 0.0)
-    if w.min() < 0:
+    if w.min(initial=0.0) < 0:
         raise ValueError(f"divergence: A not PSD on the range(B) block (eigenvalue {w.min():.6e})")
     a_log_a = rebuild(dec.eigenvectors, np.array([_xlogx(x) for x in w]))
     return a_log_a - A1 @ log_of(eig_hermitian(B1) if b1_dec is None else b1_dec)

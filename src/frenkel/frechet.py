@@ -29,8 +29,8 @@ def loewner_log(eigs: np.ndarray) -> np.ndarray:
     b = np.asarray(eigs, dtype=float)
     if b.ndim != 1:
         raise ValueError("loewner_log: expected a vector of eigenvalues")
-    if b.size == 0 or b.min() <= 0:
-        raise ValueError(f"loewner_log: eigenvalues must be positive, got min {b.min() if b.size else None!r}")
+    if b.min(initial=np.inf) <= 0:
+        raise ValueError(f"loewner_log: eigenvalues must be positive, got min {b.min()!r}")
     bi = b[:, None]
     bj = b[None, :]
     diff = bi - bj

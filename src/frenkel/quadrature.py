@@ -301,7 +301,8 @@ def clipped_integral(
     Beyond these domains the clipped pencil vanishes, and the relative
     eigenvalues sigma inside them, mapped to the coordinate, are the kinks.
     integrand(M, c) maps the pencil stack and the gamma (or u) of each node
-    to the stacked values.  Returns None when the domain is empty.
+    to the stacked values.  Returns None when the domain is empty, as both
+    are when range(B) is.
 
     head (u form only): kinks at or below max(a, head) are not pre-split,
     so [a, head] lies inside the first panel, which the tree refines only
@@ -311,9 +312,9 @@ def clipped_integral(
         raise ValueError("clipped_integral: head applies to the u form only")
     sigma = pair.sigma
     if form == "u":
-        a, b = float(max(sigma.min(), 0.0)), 1.0
+        a, b = float(max(sigma.min(initial=1.0), 0.0)), 1.0
     else:
-        a, b = 1.0, float(max(sigma.max(), 0.0))
+        a, b = 1.0, float(sigma.max(initial=0.0))
     if a >= b:
         return None
     kinks = sigma[(sigma > max(a, head)) & (sigma < b)]
@@ -405,7 +406,7 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
     """
     pair = _supported_pair(A, B)
     A1, B1, sigma = pair.A1, pair.B1, pair.sigma
-    sigma_min = float(max(sigma.min(), 0.0))
+    sigma_min = float(max(sigma.min(initial=1.0), 0.0))
 
     # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
     r1 = clipped_integral(pair, "s", lambda M, g: positive_part_stack(M) * g[:, None, None], tol / 2)
@@ -568,26 +569,64 @@ class GrowthRecord:
     witness_mass: float
 
 
-def _probe_kinks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Every gamma > 0 where a nonzero branch of A - gamma B or of
-    B - gamma A changes sign, sorted, from one eigh of A + B.
+def _probe_kinks(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The crossings of A - gamma B and those of B - gamma A, each sorted:
+    every gamma > 0 where a nonzero branch changes sign; and g2, the gamma
+    beyond which B - gamma A <= 0.  All from one eigh of A + B.
 
     A and B vanish on the kernel of A + B.  On its range, congruence by
     (A + B)^-1/2 turns A - gamma B into Theta - gamma (I - Theta), with
     Theta the relative spectrum of A against A + B (0 <= theta <= 1), so by
     Sylvester's law of inertia the branches of A - gamma B cross zero
     exactly at theta / (1 - theta) and those of B - gamma A at
-    (1 - theta) / theta, for 0 < theta < 1.
+    (1 - theta) / theta, for 0 < theta < 1.  By the same argument every
+    branch of B - gamma A is negative past the last of its crossings,
+    (1 - theta) / theta at the smallest theta, or 0 when theta = 1 on all
+    of range(A + B); only a kernel of A inside range(A + B) (theta = 0,
+    read with the zero band, since theta comes out as +-1e-16 there) keeps
+    a branch positive for every gamma, and then g2 = inf.
     """
     w, U = np.linalg.eigh(A + B)
     keep = range_mask(w)
     theta = _relative_spectrum(A, w[keep], U[:, keep])
-    theta = theta[(theta > 0.0) & (theta < 1.0)]
-    return np.sort(np.concatenate([theta / (1.0 - theta), (1.0 - theta) / theta]))
+    inner = theta[(theta > 0.0) & (theta < 1.0)]
+    low = float(theta.min())
+    g2 = max((1.0 - low) / low, 0.0) if range_mask(theta).all() else math.inf
+    return np.sort(inner / (1.0 - inner)), np.sort((1.0 - inner) / inner), g2
+
+
+def _witness_form(P: np.ndarray, Q: np.ndarray, x: np.ndarray, power: int):
+    """ys -> e^(-power y) x* (P - e^y Q)_+ x at each node y of a stack.
+
+    One eigh of the pencil per node: the eigenvalues above its zero band,
+    weighted by |u_i* x|^2, with no rebuild of the positive part.
+    """
+
+    def f(ys):
+        M, gs = _gamma_pencil(P, Q, np.exp(ys))
+        w, U = np.linalg.eigh(M)
+        mass = np.abs(x.conj() @ U) ** 2
+        return (np.where(range_mask(w), w, 0.0) * mass).sum(axis=-1) / gs**power
+
+    return f
 
 
 def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float], tol: float = DEFAULT_TOL) -> GrowthRecord:
-    """Witness the logarithmic divergence of the integral for unsupported pairs."""
+    """Witness the logarithmic divergence of the integral for unsupported pairs.
+
+    Each window [lo, t] between checkpoints integrates the witness's
+    quadratic form of the gamma-form integrand, not the matrix, in
+    y = log gamma (dgamma / gamma = dy):
+
+        term 1   integral x* (A - e^y B)_+ x dy                 over [log lo, log t]
+        term 2   integral x* (B - e^y A)_+ x e^-y dy            over [log lo, log min(t, g2)]
+
+    each to tol / 2, with the logs of its own pencil's crossings as kinks
+    (see _probe_kinks: past g2, term 2 is exactly 0).  Along ker B term 1
+    tends to x* A x, so a tail window needs about one panel.  An error E of
+    the matrix integral moves the form by |x* E x| <= ||E||, so this is no
+    less accurate than integrating the matrix.
+    """
     pair = prepare_pair(A, B)
     if pair.support.holds:
         raise ValueError("divergence_probe: pair has support containment; the integral is finite")
@@ -606,23 +645,20 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
     if not ts[-1] < t_max:
         raise ValueError(f"divergence_probe: checkpoints must be finite and below t_max = {t_max:.6g}")
 
-    def f(gs):
-        g = gs[:, None, None]
-        t1 = positive_part_stack(A[None] - g * B[None]) / g
-        t2 = positive_part_stack(B[None] - g * A[None]) / (g * g)
-        return t1 + t2
-
-    crossings = _probe_kinks(A, B)
+    k1, k2, g2 = _probe_kinks(A, B)
+    y1, y2 = np.log(k1), np.log(k2)
+    term1, term2 = _witness_form(A, B, x, 0), _witness_form(B, A, x, 1)
     values = np.empty(ts.size)
-    cum = np.zeros_like(A)
+    total = 0.0
     lo = 1.0
     for k, t in enumerate(ts):
-        kinks = crossings[(crossings >= lo) & (crossings <= t)]
-        seg = _adaptive(f, lo, float(t), tol, kinks=kinks)
-        if not seg.converged:
+        segs = [_adaptive(term1, math.log(lo), math.log(t), tol / 2, kinks=y1)]
+        if lo < g2:
+            segs.append(_adaptive(term2, math.log(lo), math.log(min(t, g2)), tol / 2, kinks=y2))
+        if not all(seg.converged for seg in segs):
             raise ValueError(f"divergence_probe: the integral over [{lo:.6g}, {t:.6g}] did not converge")
-        cum = cum + seg.value
-        values[k] = float((x.conj() @ cum @ x).real)
+        total += sum(float(seg.value) for seg in segs)
+        values[k] = total
         lo = float(t)
     slope = None
     if ts.size >= 2:

@@ -157,6 +157,9 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> ProductInt
         off = _spectral_norm(A - embed(V, A1, n))
         if off > 1e-10 * max(opnorm(A), 1e-300):
             raise ValueError("bdlog_product: ker B does not annihilate A; the integral diverges")
+    if not B1.size:
+        # B = 0, so A = 0 as well: every term of the integral is 0.
+        return ProductIntegral(np.zeros_like(A), 0.0, 0.0, 0.0, True, 0.0, 0.0)
     B1 = _check_pd(B1, "bdlog_product: B on range(B)")
     consts = domination_constants(A1, B1)
     norm_b = opnorm(B1)

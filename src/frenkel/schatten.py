@@ -217,6 +217,8 @@ def _u_head(pair, p: float, tol: float) -> tuple[float, float]:
     """
     w = np.linalg.eigvalsh(pair.A1)
     n = w.size
+    if not n:
+        return 0.0, 0.0
     eps = max(-float(w[0]), 0.0) + n * np.finfo(float).eps * float(np.abs(w).max())
     b_norm = float(_pnorm_rows(pair.b1_eigh[0][None], p)[0])
     floor = max(float(pair.sigma.min()), U_FLOOR)

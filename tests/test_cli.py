@@ -14,7 +14,7 @@ import pytest
 
 from frenkel import cli, frechet, linalg, quadrature, workers
 from frenkel.cli import RunConfig, generate_pair, main, run_verification_suite
-from frenkel.io import read_pair
+from frenkel.io import read_pair, write_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,6 +95,21 @@ class TestVerify:
         assert report["dichotomy"] == "divergent"
         assert report["probe"]["slope"] >= 0.9 * report["probe"]["witness_mass"]
         assert rc == 0
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_equal_pair_verifies(self, tmp_path, zero):
+        # D(A||A) = 0, on a generated A and on A = 0, where range(B) is
+        # empty.  kato_bound's two sides are both 0 there.
+        A = np.zeros((3, 3), dtype=complex) if zero else generate_pair(RunConfig(command="gen", seed=1, dim=4))[0]
+        pair = tmp_path / "pair.json"
+        report_path = tmp_path / "report.json"
+        write_pair(pair, A, A, seed=1)
+        assert main(["verify", "-i", str(pair), "-o", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["dichotomy"] == "finite" and report["all_pass"] is True
+        items = {it["name"]: it for it in report["items"]}
+        assert len(items) == 19 and items["kato_bound"]["lhs"] == items["kato_bound"]["rhs"] == 0.0
+        assert items["main_identity_gamma_form"]["skipped"] is False
 
     def test_supported_singular_pair_verifies(self, tmp_path):
         pair = tmp_path / "pair.json"

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from frenkel import divergence, linalg, quadrature, schatten
+from frenkel import divergence, frechet, linalg, quadrature, resolvent, schatten
 from frenkel.divergence import delta_operator, o_gamma, prepare_pair, trace_divergence
 from util import rand_pd, rand_psd, supported_singular_pair, unsupported_pair
 
@@ -173,6 +173,30 @@ ROUTES = {
     "budget_e_p": lambda A, B: schatten.budget_e_p(A, B, 2.0),
     "proof_chain_integrals": lambda A, B: quadrature.proof_chain_integrals(A, B, 1e-8),
 }
+
+
+@pytest.mark.parametrize("name", [n for n in ROUTES if n != "proof_chain_integrals"] + ["dlog", "bdlog_product"])
+def test_zero_pair_routes_return_zero(name):
+    # A = B = 0 has support containment and an empty range(B): each route
+    # returns its zero value instead of reducing over the empty block.
+    Z = np.zeros((3, 3), dtype=complex)
+    pair = prepare_pair(Z, Z)
+    routes = {
+        **ROUTES,
+        "dlog": lambda A, B: frechet.dlog(pair.B1, pair.A1),
+        "bdlog_product": lambda A, B: resolvent.bdlog_product(A, B, 1e-8),
+    }
+    out = routes[name](Z, Z)
+    if isinstance(out, quadrature.QuadratureResult):
+        assert (out.evaluations, out.converged, out.error_estimate) == (0, True, 0.0)
+        out = out.value
+    elif isinstance(out, divergence.DivergenceReport):
+        assert (out.dichotomy, out.trace_div) == (divergence.FINITE, 0.0)
+        out = out.delta
+    elif isinstance(out, resolvent.ProductIntegral):
+        assert out.within_bound
+        out = out.value
+    assert np.all(np.asarray(out) == 0.0)
 
 
 def _count_setup(monkeypatch, B):

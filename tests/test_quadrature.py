@@ -469,8 +469,10 @@ class TestDivergenceProbe:
             divergence_probe(A, B, [10.0, last])
 
     def test_unconverged_window_raises(self, monkeypatch):
-        A = np.diag([2.0, 3.0]).astype(complex)
-        B = np.diag([1.0, 0.0]).astype(complex)
+        # On diag(2, 3), diag(1, 0) the witness form is the constant 3 in
+        # log gamma, and on a rotated 2 x 2 pair one Kronrod panel between
+        # kinks still meets tol; this pair's form needs more panels.
+        A, B = unsupported_pair(np.random.default_rng(162), 6, 2)
         real = quadrature._adaptive
         monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
         with pytest.raises(ValueError, match="did not converge"):
@@ -518,20 +520,32 @@ class TestDivergenceProbe:
     def test_kinks_are_the_sign_scan_crossings(self, monkeypatch):
         # The probe's kinks come from the relative spectrum against A + B;
         # the 256-point sign scan of both pencils finds the same set in each
-        # window, within the scan's merge resolution.
-        windows = []
+        # window, within the scan's merge resolution.  Per window, term 1
+        # runs over the whole window and term 2 up to its last crossing, so
+        # the union of both terms' inner kinks and term 2's cut is that set.
+        calls = []
         real = quadrature._adaptive
 
         def recording(f, a, b, tol, kinks=(), **kwargs):
-            windows.append((a, b, np.asarray(kinks)))
+            calls.append((math.exp(a), math.exp(b), np.exp(np.asarray(kinks))))
             return real(f, a, b, tol, kinks=kinks, **kwargs)
 
         monkeypatch.setattr(quadrature, "_adaptive", recording)
+        checkpoints = [10.0, 100.0, 1000.0, 10000.0]
         seen = 0
         for A, B in self.kink_pairs():
-            windows.clear()
-            divergence_probe(A, B, [10.0, 100.0, 1000.0, 10000.0])
-            assert [w[:2] for w in windows] == [(1.0, 10.0), (10.0, 100.0), (100.0, 1000.0), (1000.0, 10000.0)]
+            calls.clear()
+            divergence_probe(A, B, checkpoints)
+            windows = []
+            used = 0
+            for lo, hi in zip([1.0] + checkpoints, checkpoints):
+                terms = [c for c in calls if c[0] == pytest.approx(lo, rel=1e-12)]
+                assert 1 <= len(terms) <= 2 and terms[0][1] == pytest.approx(hi, rel=1e-12)
+                found = [k[(k > a) & (k < b)] for a, b, k in terms]
+                found += [np.array([b]) for _, b, _ in terms[1:] if b < hi * (1 - 1e-12)]
+                windows.append((lo, hi, np.sort(np.concatenate(found))))
+                used += len(terms)
+            assert used == len(calls)
             for lo, hi, kinks in windows:
                 scan = np.sort(
                     np.concatenate(
@@ -557,7 +571,7 @@ class TestDivergenceProbe:
         # crosses zero; without the compression off the common kernel the
         # scan reported 128 rounding-level crossings in [1, 10].
         A, B = self.singular_a_pair(np.random.default_rng(163))
-        kinks = quadrature._probe_kinks(A, B)
+        kinks = np.sort(np.concatenate(quadrature._probe_kinks(A, B)[:2]))
         want = kinks[(kinks >= 1.0) & (kinks <= 10.0)]
         scan = np.sort(
             np.concatenate(
@@ -586,6 +600,63 @@ class TestDivergenceProbe:
         assert calls == []
         pencil.find_crossings(A, B, (1.0, 10.0))
         assert calls
+
+    @classmethod
+    def reference_pairs(cls):
+        pairs = cls.kink_pairs()
+        for seed, dim, cond in ((5, 8, 1e6), (6, 12, 1e10)):
+            pairs.append(generate_pair(RunConfig(command="gen", seed=seed, dim=dim, unsupported=True, condition_target=cond)))
+        return pairs
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_values_match_the_matrix_integral(self, index):
+        # The witness form against x* V x, with V the matrix integrand
+        # (A - gamma B)_+ / gamma + (B - gamma A)_+ / gamma^2 integrated in
+        # gamma to 1e-12, every crossing of both pencils a kink.
+        A, B = self.reference_pairs()[index]
+        checkpoints = [10.0, 100.0, 1000.0, 10000.0]
+        tol = 1e-8
+        rec = divergence_probe(A, B, checkpoints, tol)
+        x = rec.witness
+
+        def V(g):
+            return linalg.positive_part(A - g * B) / g + linalg.positive_part(B - g * A) / g**2
+
+        cum = np.zeros_like(A)
+        for k, (lo, hi) in enumerate(zip([1.0] + checkpoints, checkpoints)):
+            kinks = np.concatenate([pencil.find_crossings(P, Q, (lo, hi)).crossings for P, Q in ((A, B), (B, A))])
+            seg = adaptive_matrix_integral(V, lo, hi, 1e-12, kinks=kinks)
+            assert seg.converged
+            cum = cum + seg.value
+            assert abs(rec.values[k] - float((x.conj() @ cum @ x).real)) <= tol, (k, rec.values[k])
+
+    def test_witness_form_clips_at_the_zero_band(self):
+        # As in positive_part_stack, a pencil branch of 1e-20 next to one of
+        # order 1 is zero, and so is the form of a witness on it.
+        P = np.diag([1.0, 1e-20]).astype(complex)
+        Q = np.diag([0.5, 0.0]).astype(complex)
+        ys = np.log([1.0, 1.5, 10.0])
+        on_band = quadrature._witness_form(P, Q, np.array([0.0, 1.0], dtype=complex), 0)(ys)
+        assert np.all(on_band == 0.0)
+        top = quadrature._witness_form(P, Q, np.array([1.0, 0.0], dtype=complex), 1)(ys)
+        assert top == pytest.approx(np.maximum(1.0 - 0.5 * np.exp(ys), 0.0) * np.exp(-ys), abs=1e-15)
+
+    @pytest.mark.parametrize("seed, cond", [(1015, 10.0), (1031, 1e3)])
+    def test_eigh_matrix_budget(self, monkeypatch, seed, cond):
+        # Two n=32 unsupported pairs of the verify-mixed deck, where
+        # integrating the matrix in gamma decomposed 1323 and 1083 matrices.
+        A, B = generate_pair(RunConfig(command="gen", seed=seed, dim=32, unsupported=True, condition_target=cond))
+        matrices = []
+        real = np.linalg.eigh
+
+        def counting(M, *args, **kwargs):
+            M = np.asarray(M)
+            matrices.append(M.size // M.shape[-1] ** 2)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        divergence_probe(A, B, [10.0, 100.0, 1000.0, 10000.0])
+        assert sum(matrices) <= 480
 
 
 class TestLeanPanel:

@@ -54,14 +54,22 @@ GEN_KINDS = {"pd": [], "commuting": ["--commuting"], "singular-b": ["--singular-
 def test_gen_verify_smoke(monkeypatch, tmp_path, kind, dim, cond):
     # Every gen kind at the smallest dims: verify ends in exit 0 or 1 with a
     # report of the item list perfbench's checker expects, never in an
-    # exception or exit 2.
+    # exception or exit 2.  On an unsupported pair, the probe export at its
+    # default checkpoints and tol holds the report's probe values.
     tracing = _load_tracing(monkeypatch)
     cli = importlib.import_module("frenkel.cli")
     pair, out = tmp_path / "pair.json", tmp_path / "report.json"
     assert cli.main(["gen", "--seed", "1", "--dim", dim, "--cond", cond, *GEN_KINDS[kind], "-o", str(pair)]) == 0
     assert cli.main(["verify", "-i", str(pair), "-o", str(out)]) in (0, 1)
-    names = tuple(item["name"] for item in json.loads(out.read_text())["items"])
+    report = json.loads(out.read_text())
+    names = tuple(item["name"] for item in report["items"])
     assert names == (("divergence_growth_slope",) if kind == "unsupported" else tracing.CLI_ITEMS)
+    if kind == "unsupported":
+        csv = tmp_path / "probe.csv"
+        assert cli.main(["probe", "-i", str(pair), "-o", str(csv)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in csv.read_text().splitlines()[1:]]
+        assert [t for t, _ in rows] == report["probe"]["checkpoints"]
+        assert [v for _, v in rows] == report["probe"]["values"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
