@@ -159,7 +159,9 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> ProductInt
             raise ValueError("bdlog_product: ker B does not annihilate A; the integral diverges")
     if not B1.size:
         # B = 0, so A = 0 as well: every term of the integral is 0.
-        return ProductIntegral(np.zeros_like(A), 0.0, 0.0, 0.0, True, 0.0, 0.0)
+        return ProductIntegral(
+            value=np.zeros_like(A), value_norm=0.0, alpha=0.0, bound=0.0, within_bound=True, tail_bound=0.0, error_estimate=0.0
+        )
     B1 = _check_pd(B1, "bdlog_product: B on range(B)")
     consts = domination_constants(A1, B1)
     norm_b = opnorm(B1)
