@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,13 +24,7 @@ from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
 from .io import json_ready, read_pair, write_csv, write_pair
 from .linalg import hermitian_part, matrix_log, opnorm, parts, random_unitary, rebuild
-from .quadrature import (
-    divergence_probe,
-    frenkel_trace,
-    proof_chain_integrals,
-    rhs_frg,
-    rhs_frg1,
-)
+from .quadrature import _scalar_total, divergence_probe, proof_chain_integrals, rhs_frg, rhs_frg1
 
 COMMANDS = ("gen", "verify", "pencil", "truncate", "probe")
 
@@ -123,17 +118,31 @@ def _suite_routes(pair: PreparedPair, tol: float) -> dict:
     route only runs where the items that read it do: the chain needs A and
     B positive definite, the trace pairing B.  On a full-rank B, dlog(B1, A1)
     is dlog(B, A), read by the two dlog oracles as well.
+
+    The clipped-pencil integrals run on two routes, one per node set (see
+    quadrature.clipped_integrals): the gamma and u nodes, where on PD pairs
+    the chain also yields rhs_frg1's result and the trace's u part, and
+    elsewhere rhs_frg1 yields that part; and the s nodes, where rhs_frg
+    yields the trace's s part.
     """
     A, B = pair.A, pair.B
     b_pd, both_pd = _definiteness(pair)
-    routes = {"proof_chain_integrals": (proof_chain_integrals, A, B, tol)} if both_pd else {}
-    routes["rhs_frg1"] = (rhs_frg1, A, B, tol)
-    routes["rhs_frg"] = (rhs_frg, A, B, tol)
+    if both_pd:
+        routes = {"proof_chain_integrals": (partial(proof_chain_integrals, forms=True), A, B, tol)}
+    else:
+        routes = {"rhs_frg1": (partial(rhs_frg1, trace=True), A, B, tol)}
+    routes["rhs_frg"] = (partial(rhs_frg, trace=True), A, B, tol)
     routes["delta_operator"] = (delta_operator, A, B)
     if b_pd:
         routes["trace_pairing_check"] = (frechet.trace_pairing_check, B, A)
     routes["dlog"] = (frechet.dlog, pair.B1, pair.A1)
     return routes
+
+
+def _gamma_form(pair: PreparedPair, route) -> tuple:
+    """(rhs_frg1's result, the trace's u part), from the route of the gamma
+    and u nodes in _suite_routes."""
+    return route("proof_chain_integrals")[1:] if _definiteness(pair)[1] else route("rhs_frg1")
 
 
 def _suite_items(pair: PreparedPair, tol: float, route):
@@ -152,17 +161,19 @@ def _suite_items(pair: PreparedPair, tol: float, route):
 
     def main_identity():
         delta = route("delta_operator").delta
-        r = route("rhs_frg1")
+        r, _ = _gamma_form(pair, route)
         return {"residual": float(np.linalg.norm(r.value - delta, 2)), "threshold": 100 * tol}
 
     def form_equivalence():
-        r1 = route("rhs_frg1")
-        r2 = route("rhs_frg")
+        r1, _ = _gamma_form(pair, route)
+        r2, _ = route("rhs_frg")
         return {"residual": float(np.linalg.norm(r1.value - r2.value, 2)), "threshold": 2 * tol}
 
     def trace_formula():
         d = route("delta_operator").trace_div
-        return {"residual": abs(frenkel_trace(A, B, tol) - d), "threshold": 100 * tol}
+        # frenkel_trace's sum, s part first, of the parts the two routes yield.
+        trace = _scalar_total([route("rhs_frg")[1], _gamma_form(pair, route)[1]])
+        return {"residual": abs(trace - d), "threshold": 100 * tol}
 
     def trace_consistency():
         rep = route("delta_operator")
@@ -180,16 +191,15 @@ def _suite_items(pair: PreparedPair, tol: float, route):
         return {"residual": r2, "threshold": 1e-10}
 
     def chain_identity():
-        pc = route("proof_chain_integrals")
-        u = route("rhs_frg1").value
-        return {"residual": float(np.linalg.norm(u + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
+        pc, u, _ = route("proof_chain_integrals")
+        return {"residual": float(np.linalg.norm(u.value + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
 
     def log_difference_representation():
-        pc = route("proof_chain_integrals")
+        pc = route("proof_chain_integrals")[0]
         return {"residual": pc.residual_log_difference, "threshold": 10 * tol}
 
     def dlog_representation():
-        pc = route("proof_chain_integrals")
+        pc = route("proof_chain_integrals")[0]
         return {"residual": pc.residual_dlog_representation, "threshold": 10 * tol}
 
     def log_resolvent_oracle():
@@ -250,7 +260,7 @@ def _suite_items(pair: PreparedPair, tol: float, route):
         return {"residual": -rep.delta_min_eigenvalue, "threshold": DELTA_PSD_SLACK * scale}
 
     def quadrature_psd():
-        r = route("rhs_frg1")
+        r, _ = _gamma_form(pair, route)
         min_eig = float(np.linalg.eigvalsh(r.value).min())
         return {"residual": -min_eig, "threshold": r.error_estimate + 1e-10}
 
@@ -312,7 +322,11 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
         return report
 
     report["dichotomy"] = "finite"
-    items = _suite_items(pair, tol, lambda name: routes[name].result())
+
+    def route(name):
+        return routes[name].result()
+
+    items = _suite_items(pair, tol, route)
     # The executor the quadrature driver fans panel chunks out over too, at
     # any FRENKEL_THREADS.  Its queue is FIFO and the routes go in first, so
     # an item only waits on a route that is running or done, and a route
@@ -342,8 +356,8 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
     report["all_pass"] = bool(all_pass)
     if diagnostics:
         report["diagnostics"] = {
-            "gamma_form": _panel_log(routes["rhs_frg1"].result()),
-            "t_line": _panel_log(routes["rhs_frg"].result()),
+            "gamma_form": _panel_log(_gamma_form(pair, route)[0]),
+            "t_line": _panel_log(route("rhs_frg")[0]),
         }
     # Timings stay out of the report so repeated runs serialize identically.
     print(f"suite: {len(entries)} items in {wall:.2f}s (wall)", file=sys.stderr)
@@ -405,9 +419,10 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    RunConfig(command="probe", tol=args.tol)  # range check only
     A, B = read_pair(args.input)
     checkpoints = [float(tok) for tok in args.checkpoints.split(",") if tok.strip()]
-    record = divergence_probe(A, B, checkpoints)
+    record = divergence_probe(A, B, checkpoints, args.tol)
     write_csv(
         args.output,
         ["t", "witness_quadratic_form"],
@@ -458,6 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("probe", help="growth probe for a pair without support containment")
     b.add_argument("-i", "--input", required=True)
     b.add_argument("--checkpoints", default="10,100,1000,10000")
+    b.add_argument("--tol", type=float, default=1e-8)
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=_cmd_probe)
     return parser

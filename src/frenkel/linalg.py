@@ -154,31 +154,44 @@ def parts(T: np.ndarray) -> PartsDecomposition:
     """Positive/negative parts and spectral projections of a Hermitian matrix."""
     dec = eig_hermitian(T)
     w, U = dec.eigenvalues, dec.eigenvectors
-    pos, neg = range_mask(w), range_mask(-w)
     return PartsDecomposition(
-        positive_part=rebuild(U, np.where(pos, w, 0.0)),
-        negative_part=rebuild(U, np.where(neg, -w, 0.0)),
-        positive_projection=rebuild(U, pos.astype(float)),
-        negative_projection=rebuild(U, neg.astype(float)),
+        positive_part=positive_part_of(w, U),
+        negative_part=positive_part_of(-w, U),
+        positive_projection=positive_projector_of(w, U),
+        negative_projection=positive_projector_of(-w, U),
     )
+
+
+# The three clipping reducers of a spectrum w (and eigenvectors U), of one
+# matrix or of a stack: the one place each clip is written.
+def positive_eigs_of(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues above the zero band, the rest set to 0."""
+    return np.where(range_mask(w), w, 0.0)
+
+
+def positive_part_of(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The positive part U diag(w_+) U*, clipped at the zero band."""
+    return rebuild(U, positive_eigs_of(w))
+
+
+def positive_projector_of(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The projector onto the eigenspaces above the zero band."""
+    return rebuild(U, range_mask(w).astype(float))
 
 
 def positive_part(T: np.ndarray) -> np.ndarray:
     """Clip a Hermitian matrix to its positive eigenspaces."""
-    w, U = np.linalg.eigh(hermitian_part(np.asarray(T, dtype=complex)))
-    return rebuild(U, np.where(range_mask(w), w, 0.0))
+    return positive_part_of(*np.linalg.eigh(hermitian_part(np.asarray(T, dtype=complex))))
 
 
 def positive_part_stack(mats: np.ndarray) -> np.ndarray:
     """Positive parts of a stack of Hermitian matrices, shape (..., n, n)."""
-    w, U = np.linalg.eigh(mats)
-    return rebuild(U, np.where(range_mask(w), w, 0.0))
+    return positive_part_of(*np.linalg.eigh(mats))
 
 
 def positive_eig_stack(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack with the zero band applied, negatives dropped."""
-    w = np.linalg.eigvalsh(mats)
-    return np.where(range_mask(w), w, 0.0)
+    return positive_eigs_of(np.linalg.eigvalsh(mats))
 
 
 def matrix_log(T: np.ndarray) -> np.ndarray:

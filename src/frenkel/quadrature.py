@@ -33,10 +33,12 @@ from .linalg import (
     hermitian_part,
     log_of,
     positive_definite_spectrum,
-    positive_part_stack,
     positive_eig_stack,
+    positive_eigs_of,
+    positive_part_of,
+    positive_part_stack,
+    positive_projector_of,
     range_mask,
-    rebuild,
     zero_band,
 )
 
@@ -126,22 +128,33 @@ def _err_norm(M: np.ndarray) -> float:
     return float(abs(M))
 
 
-def _panel(fv, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = fv(mid + half * _NODES)
+def _kronrod(vals: np.ndarray, half: float):
     flat = vals.reshape(15, -1)
     i15 = half * np.dot(_WK_ROW, flat).reshape(vals.shape[1:])
     i7 = half * np.dot(_WG_ROW, flat[_GAUSS_IDX]).reshape(vals.shape[1:])
     return i15, _err_norm(i15 - i7)
 
 
-def _panels(fv, spans) -> list:
-    return [_panel(fv, lo, hi) for lo, hi in spans]
+def _panel(fv, a: float, b: float):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return _kronrod(fv(mid + half * _NODES), half)
 
 
-def _initial_panels(fv, bounds: list[float]) -> list:
-    """Kronrod panels on consecutive bounds, in interval order.
+def _shared_panel(fv, a: float, b: float) -> list:
+    """_panel of each term, where fv maps the nodes to an iterable of stacks,
+    one per term; each stack is reduced before the next is drawn."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return [_kronrod(vals, half) for vals in fv(mid + half * _NODES)]
+
+
+def _panels(fv, spans, panel) -> list:
+    return [panel(fv, lo, hi) for lo, hi in spans]
+
+
+def _initial_panels(fv, bounds: list[float], panel=_panel) -> list:
+    """panel(fv, lo, hi) on consecutive bounds, in interval order.
 
     When the first panel's time says the rest take at least FAN_OUT_MIN_S,
     the rest are split into contiguous chunks, one per worker thread of the
@@ -152,21 +165,21 @@ def _initial_panels(fv, bounds: list[float]) -> list:
     """
     spans = list(zip(bounds[:-1], bounds[1:]))
     t0 = time.perf_counter()
-    out = [_panel(fv, *spans[0])]
+    out = [panel(fv, *spans[0])]
     rest = spans[1:]
     n = 1
     if len(rest) > 1 and (time.perf_counter() - t0) * len(rest) >= FAN_OUT_MIN_S:
         n = workers.current_size()
     if n == 1:
-        return out + _panels(fv, rest)
+        return out + _panels(fv, rest, panel)
     k = min(n, len(rest))
     cuts = [len(rest) * i // k for i in range(k + 1)]
     chunks = [rest[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     pool = workers.executor(n)
-    futures = [pool.submit(_panels, fv, chunk) for chunk in chunks[1:]]
+    futures = [pool.submit(_panels, fv, chunk, panel) for chunk in chunks[1:]]
     try:
-        out += _panels(fv, chunks[0])
-        inline = [_panels(fv, chunk) if fut.cancel() else None for chunk, fut in zip(chunks[1:], futures)]
+        out += _panels(fv, chunks[0], panel)
+        inline = [_panels(fv, chunk, panel) if fut.cancel() else None for chunk, fut in zip(chunks[1:], futures)]
         for got, fut in zip(inline, futures):
             out += fut.result() if got is None else got
     finally:
@@ -193,13 +206,23 @@ def _initial_bounds(a: float, b: float, kinks: Sequence[float]) -> list[float]:
     return out
 
 
-def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: int = MAX_PANELS) -> QuadratureResult:
+def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: Optional[int] = None, initial=None) -> QuadratureResult:
+    """The panel tree of fv on [a, b], split first at the kinks, to tol.
+
+    initial, when given, holds the Kronrod panels of fv on those first
+    bounds, computed by the caller (see clipped_integrals); max_panels
+    defaults to MAX_PANELS as it reads when the call is made.
+    """
+    if max_panels is None:
+        max_panels = MAX_PANELS
     bounds = _initial_bounds(a, b, kinks)
+    if initial is None:
+        initial = _initial_panels(fv, bounds)
     heap = []
     done = []
     evals = 0
     total_err = 0.0
-    for lo, hi, (val, err) in zip(bounds[:-1], bounds[1:], _initial_panels(fv, bounds)):
+    for lo, hi, (val, err) in zip(bounds[:-1], bounds[1:], initial):
         evals += 15
         total_err += err
         heappush(heap, (-err, lo, hi, val))
@@ -310,6 +333,16 @@ def clipped_integral(
     """
     if head and form != "u":
         raise ValueError("clipped_integral: head applies to the u form only")
+    domain = _form_domain(pair, form, head)
+    if domain is None:
+        return None
+    a, b, kinks, pencil = domain
+    return _adaptive(lambda xs: integrand(*pencil(xs)), a, b, tol, kinks=kinks)
+
+
+def _form_domain(pair: PreparedPair, form: str, head: float = 0.0):
+    """(a, b, kinks, pencil) of a form (see clipped_integral), with pencil
+    mapping a stack of nodes to (M, c); None when the domain is empty."""
     sigma = pair.sigma
     if form == "u":
         a, b = float(max(sigma.min(initial=1.0), 0.0)), 1.0
@@ -321,16 +354,91 @@ def clipped_integral(
     if form == "s":
         a, b, kinks = 0.0, 1.0 - 1.0 / b, 1.0 - 1.0 / kinks
     A1, B1, pencil = pair.A1, pair.B1, _PENCILS[form]
-
-    def f(xs):
-        return integrand(*pencil(A1, B1, xs))
-
-    return _adaptive(f, a, b, tol, kinks=kinks)
+    return a, b, kinks, lambda xs: pencil(A1, B1, xs)
 
 
-def _clipped_over(M, c):
-    """The operator integrand c^-1 (M)_+ of the gamma and u forms."""
-    return positive_part_stack(M) / c[:, None, None]
+@dataclass(frozen=True, eq=False)
+class Clip:
+    """A clip of the pencil at a stack of nodes, in two ways: reduce maps the
+    stack's eigh (w, U) to the clipped values, and kernel computes the same
+    values from the pencil stack with a decomposition of its own."""
+
+    reduce: Callable
+    kernel: Callable
+
+
+# Each clip looks its functions up when it runs, so that a patched module
+# attribute (the tests, the traced benchmark run) sees every call.
+POSITIVE_PART = Clip(lambda w, U: positive_part_of(w, U), lambda M: positive_part_stack(M))
+PROJECTOR = Clip(lambda w, U: positive_projector_of(w, U), lambda M: _positive_proj_stack(M))
+TRACE = Clip(lambda w, U: positive_eigs_of(w).sum(axis=-1), lambda M: positive_eig_stack(M).sum(axis=-1))
+
+
+@dataclass(frozen=True)
+class Term:
+    """One integrand of a form, weight(clip values, c) at each node, and
+    the tolerance its panel tree runs to."""
+
+    clip: Clip
+    weight: Callable
+    tol: float
+
+    def integrand(self, M, c):
+        return self.weight(self.clip.kernel(M), c)
+
+
+def _form_term(clip: Clip, form: str, tol: float) -> Term:
+    """A clipped pencil as the divergence's integrands weigh it, to tol / 2:
+    by 1/c on the gamma and u forms (dgamma/gamma, du/u), by gamma on s."""
+    if form == "s":
+        return Term(clip, lambda X, g: X * g.reshape(g.shape + (1,) * (X.ndim - 1)), tol / 2)
+    return Term(clip, lambda X, c: X / c.reshape(c.shape + (1,) * (X.ndim - 1)), tol / 2)
+
+
+def _divergence_terms(form: str, tol: float, trace: bool = False) -> list[Term]:
+    """The divergence's positive-part term on a form, then frenkel_trace's
+    term there when trace is set."""
+    return [_form_term(POSITIVE_PART, form, tol)] + ([_form_term(TRACE, form, tol)] if trace else [])
+
+
+def clipped_integrals(pair: PreparedPair, form: str, terms: Sequence[Term]) -> list[Optional[QuadratureResult]]:
+    """The integrals of several terms on one form, each on its own panel tree.
+
+    The terms share their initial panels, one Kronrod panel per kink
+    interval.  There each node's pencil is built and decomposed by one eigh,
+    each distinct clip reduces (w, U) once, and (w, U) is dropped.  Each tree
+    then refines with its own kernel, tolerance and MAX_PANELS, so a term
+    gets the tree clipped_integral gives term.integrand alone, bit for bit,
+    except that a TRACE term's initial nodes read eigh's eigenvalues instead
+    of eigvalsh's.  A single term runs on its own kernel throughout.
+    Entries are None when the domain is empty.
+    """
+    if len(terms) == 1:
+        return [clipped_integral(pair, form, terms[0].integrand, terms[0].tol)]
+    domain = _form_domain(pair, form)
+    if domain is None:
+        return [None] * len(terms)
+    a, b, kinks, pencil = domain
+    clips = list(dict.fromkeys(term.clip for term in terms))
+
+    def shared(xs):
+        M, c = pencil(xs)
+        w, U = np.linalg.eigh(M)
+        del M
+        vals = {clip: clip.reduce(w, U) for clip in clips}
+        del w, U
+        for term in terms:
+            yield term.weight(vals[term.clip], c)
+
+    rows = _initial_panels(shared, _initial_bounds(a, b, kinks), _shared_panel)
+    columns = [list(col) for col in zip(*rows)]
+    del rows
+    # Each tree takes its column off the list, so a term's initial panels
+    # are held only until its own tree has them.
+    return [
+        _adaptive(lambda xs, term=term: term.integrand(*pencil(xs)), a, b, term.tol, kinks=kinks, initial=columns.pop(0))
+        for term in terms
+    ]
 
 
 def _scalar_total(results) -> float:
@@ -374,7 +482,12 @@ def _combine(pair: PreparedPair, parts_list, panel_maps) -> QuadratureResult:
     )
 
 
-def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def _rhs_frg1_result(pair: PreparedPair, r1, r2) -> QuadratureResult:
+    """rhs_frg1's result from its gamma-form term 1 and u-form term 2."""
+    return _combine(pair, [r1, r2], [lambda iv: iv, lambda iv: (1.0 / iv[1], 1.0 / iv[0])])
+
+
+def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: bool = False):
     """The gamma-form integral of the divergence:
 
         integral_1^inf (gamma^-1 (A - gamma B)_+  +  gamma^-2 (B - gamma A)_+) dgamma
@@ -384,14 +497,18 @@ def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratu
     eigenvalue), term 2 over u = 1/gamma in [sigma_min, 1]; both domains
     are exact, so tail_bound is 0.  Panels of term 2 are logged in the
     gamma = 1/u coordinate, after term 1's.
+
+    trace: also integrate frenkel_trace's u part on term 2's initial nodes
+    (see clipped_integrals) and return (result, that part).
     """
     pair = _supported_pair(A, B)
-    r1 = clipped_integral(pair, "gamma", _clipped_over, tol / 2)
-    r2 = clipped_integral(pair, "u", _clipped_over, tol / 2)
-    return _combine(pair, [r1, r2], [lambda iv: iv, lambda iv: (1.0 / iv[1], 1.0 / iv[0])])
+    (r1,) = clipped_integrals(pair, "gamma", _divergence_terms("gamma", tol))
+    r2, *part = clipped_integrals(pair, "u", _divergence_terms("u", tol, trace))
+    result = _rhs_frg1_result(pair, r1, r2)
+    return (result, *part) if trace else result
 
 
-def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: bool = False):
     """The t-line integral of the divergence,
 
         integral dt / (|t| (t-1)^2) ((1-t) A + t B)_-   over (-inf, 0) and (1, inf),
@@ -403,13 +520,16 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
     rhs_frg1 is a genuine cross-check of the quadrature.  Panels are logged
     in t coordinates; the piece-1 log ends at t = +inf and the piece-2 log
     starts at -inf.
+
+    trace: also integrate frenkel_trace's s part on piece 1's initial nodes
+    (see clipped_integrals) and return (result, that part).
     """
     pair = _supported_pair(A, B)
     A1, B1, sigma = pair.A1, pair.B1, pair.sigma
     sigma_min = float(max(sigma.min(initial=1.0), 0.0))
 
     # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
-    r1 = clipped_integral(pair, "s", lambda M, g: positive_part_stack(M) * g[:, None, None], tol / 2)
+    r1, *part = clipped_integrals(pair, "s", _divergence_terms("s", tol, trace))
 
     r2 = None
     map2 = lambda iv: iv
@@ -429,11 +549,13 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
             # w = 1 - 1/gamma on [0, 1); the measure reduces to dw exactly and
             # (B - gamma A)_+ is evaluated as gamma ((1-w) B - A)_+ to keep the
             # eigenproblem at the scale of the operands.
+            term = _form_term(POSITIVE_PART, "u", tol)
+
             def f2(ws):
-                return _clipped_over(*_u_pencil(A1, B1, 1.0 - ws))
+                return term.integrand(*_u_pencil(A1, B1, 1.0 - ws))
 
             inner = sigma[(sigma > 0.0) & (sigma < 1.0)]
-            r2 = _adaptive(f2, 0.0, 1.0, tol / 2, kinks=1.0 - inner)
+            r2 = _adaptive(f2, 0.0, 1.0, term.tol, kinks=1.0 - inner)
             map2 = lambda iv: (
                 -math.inf if iv[0] == 0.0 else -(1.0 - iv[0]) / iv[0],
                 -(1.0 - iv[1]) / max(iv[1], U_FLOOR) if iv[1] < 1.0 else 0.0,
@@ -445,7 +567,8 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Quadratur
         t_lo = 1.0 / iv[1]
         return (t_lo, t_hi)
 
-    return _combine(pair, [r2, r1], [map2, map1_sorted])
+    result = _combine(pair, [r2, r1], [map2, map1_sorted])
+    return (result, *part) if trace else result
 
 
 def frenkel_trace(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -457,14 +580,13 @@ def frenkel_trace(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> flo
     pair = prepare_pair(A, B)
     if not pair.support.holds:
         return math.inf
-    r1 = clipped_integral(pair, "s", lambda M, g: positive_eig_stack(M).sum(axis=-1) * g, tol / 2)
-    r2 = clipped_integral(pair, "u", lambda M, u: positive_eig_stack(M).sum(axis=-1) / u, tol / 2)
+    (r1,) = clipped_integrals(pair, "s", [_form_term(TRACE, "s", tol)])
+    (r2,) = clipped_integrals(pair, "u", [_form_term(TRACE, "u", tol)])
     return _scalar_total([r1, r2])
 
 
 def _positive_proj_stack(mats: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(mats)
-    return rebuild(U, range_mask(w).astype(float))
+    return positive_projector_of(*np.linalg.eigh(mats))
 
 
 @dataclass(frozen=True)
@@ -490,7 +612,7 @@ class ProofChainIntegrals:
     converged: bool
 
 
-def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProofChainIntegrals:
+def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, forms: bool = False):
     """Evaluate the integrals behind the divergence identity for PD A, B.
 
     Every integral is a projection integral of the gamma form on
@@ -510,7 +632,12 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     form, each to tol/2 in the largest operator norm over its terms:
     gamma[B P, P/gamma, P/gamma^2], u[B P, P/u] and u[P/u^2].  The last,
     about 1/sigma_min in size, hits MAX_PANELS first, so it runs alone: a
-    capped tree leaves every term on it unconverged.
+    capped tree leaves every term on it unconverged.  The two u trees share
+    their initial panels (see clipped_integrals).
+
+    forms: also integrate rhs_frg1's two terms and frenkel_trace's u part
+    on the initial nodes of the gamma and u trees, and return (chain,
+    rhs_frg1's result, that part).
     """
     pair = prepare_pair(A, B)
     if not pair.support.holds or pair.V is not None:
@@ -519,20 +646,28 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     dec_a = eig_hermitian(A)
     if not positive_definite_spectrum(dec_a.eigenvalues):
         raise ValueError("proof_chain_integrals: A must be positive definite")
-    results = []
 
-    def integral(form, *powers, b_proj=True):
-        def integrand(M, c):
-            P = _positive_proj_stack(M)
+    def chain_term(*powers, b_proj=True):
+        def weight(P, c):
             return np.stack(([B[None] @ P] if b_proj else []) + [P / (c**k)[:, None, None] for k in powers], axis=1)
 
-        r = clipped_integral(pair, form, integrand, tol / 2)
-        results.append(r)
-        return np.zeros((b_proj + len(powers),) + A.shape, dtype=complex) if r is None else r.value
+        return Term(PROJECTOR, weight, tol / 2)
 
-    v, g_over, g_over2 = integral("gamma", 1, 2)
-    w, u_over = integral("u", 1)
-    (u_over2,) = integral("u", 2, b_proj=False)
+    gamma_terms = [chain_term(1, 2)]
+    u_terms = [chain_term(1), chain_term(2, b_proj=False)]
+    if forms:
+        gamma_terms += _divergence_terms("gamma", tol)
+        u_terms += _divergence_terms("u", tol, trace=True)
+    g = clipped_integrals(pair, "gamma", gamma_terms)
+    u = clipped_integrals(pair, "u", u_terms)
+    results = [g[0], u[0], u[1]]
+
+    def value(r, k):
+        return np.zeros((k,) + A.shape, dtype=complex) if r is None else r.value
+
+    v, g_over, g_over2 = value(g[0], 3)
+    w, u_over = value(u[0], 2)
+    (u_over2,) = value(u[1], 1)
 
     log_diff = hermitian_part(g_over - u_over)
     residual_log = float(np.linalg.norm(log_diff - (log_of(dec_a) - log_of(pair.b1_decomposition)), 2))
@@ -541,7 +676,7 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     residual_dlog = float(np.linalg.norm(dlog - frechet.dlog_in(dec_a, B), 2))
 
     done = [r for r in results if r is not None]
-    return ProofChainIntegrals(
+    pc = ProofChainIntegrals(
         v=v,
         w=w,
         chain=_block_chain(A, B, pair.b1_decomposition),
@@ -550,6 +685,7 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
         evaluations=sum(r.evaluations for r in done),
         converged=all(r.converged for r in done),
     )
+    return (pc, _rhs_frg1_result(pair, g[1], u[2]), u[3]) if forms else pc
 
 
 @dataclass(frozen=True)
@@ -606,7 +742,7 @@ def _witness_form(P: np.ndarray, Q: np.ndarray, x: np.ndarray, power: int):
         M, gs = _gamma_pencil(P, Q, np.exp(ys))
         w, U = np.linalg.eigh(M)
         mass = np.abs(x.conj() @ U) ** 2
-        return (np.where(range_mask(w), w, 0.0) * mass).sum(axis=-1) / gs**power
+        return (positive_eigs_of(w) * mass).sum(axis=-1) / gs**power
 
     return f
 

@@ -151,7 +151,7 @@ class TestVerify:
         out = tmp_path / "r.json"
         main(["gen", "--seed", "17", "--dim", "3", "-o", str(pair)])
 
-        def boom(A, B, tol):
+        def boom(*args, **kwargs):
             raise ValueError("chain failed")
 
         monkeypatch.setattr(cli, "proof_chain_integrals", boom)
@@ -168,7 +168,7 @@ class TestVerify:
         main(["gen", "--seed", "17", "--dim", "3", "-o", str(pair)])
         finished = threading.Event()
 
-        def boom(A, B, tol):
+        def boom(*args, **kwargs):
             raise ValueError("chain failed")
 
         def slow_dlog(*args):
@@ -296,68 +296,86 @@ class TestPanelFanOutInVerify:
 
 
 class TestSharedRoutes:
-    """Each route the suite shares runs once per pair, and --diagnostics reuses it."""
+    """Each route the suite shares runs once per pair, and --diagnostics reuses it.
+
+    The clipped-pencil integrals run on one route per node set: on PD pairs
+    the chain also yields rhs_frg1's result and the trace's u part, elsewhere
+    rhs_frg1 yields that part; rhs_frg yields the trace's s part.
+    """
+
+    @staticmethod
+    def gen(tmp_path, seed, dim, flags):
+        pair = tmp_path / "pair.json"
+        main(["gen", "--seed", seed, "--dim", dim, *flags, "-o", str(pair)])
+        return pair
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("diagnostics", [False, True])
     def test_each_shared_route_runs_once(self, tmp_path, monkeypatch, threads, diagnostics):
-        pair = tmp_path / "pair.json"
-        main(["gen", "--seed", "23", "--dim", "4", "-o", str(pair)])
+        expected = {
+            # dlog(B, A) is shared with bdlog_product_oracle on a full-rank B.
+            "pd": {
+                "delta_operator": 1,
+                "proof_chain_integrals(forms)": 1,
+                "rhs_frg(trace)": 1,
+                "trace_pairing_check": 1,
+                "dlog": 1,
+            },
+            "singular-b": {"delta_operator": 1, "rhs_frg1(trace)": 1, "rhs_frg(trace)": 1, "dlog": 1},
+        }
         calls = []
 
         def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
+            def wrapper(*args, **kwargs):
+                calls.append(name + "".join(f"({key})" for key in kwargs))
+                return fn(*args, **kwargs)
 
             return wrapper
 
         for name in ("delta_operator", "rhs_frg1", "rhs_frg", "proof_chain_integrals"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        # The suite's trace comes from the shared routes, never from frenkel_trace.
+        monkeypatch.setattr(quadrature, "frenkel_trace", counted("frenkel_trace", quadrature.frenkel_trace))
         # Only the suite's own frechet calls count, not those inside frechet.
         proxy = types.SimpleNamespace(**vars(frechet))
         for name in ("trace_pairing_check", "dlog"):
             setattr(proxy, name, counted(name, getattr(frechet, name)))
         monkeypatch.setattr(cli, "frechet", proxy)
         monkeypatch.setenv("FRENKEL_THREADS", threads)
-        argv = ["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")] + (["--diagnostics"] if diagnostics else [])
-        assert main(argv) == 0
-        assert Counter(calls) == {
-            "delta_operator": 1,
-            "rhs_frg1": 1,
-            "rhs_frg": 1,
-            "proof_chain_integrals": 1,
-            "trace_pairing_check": 1,
-            # dlog(B, A), shared with bdlog_product_oracle on this full-rank B.
-            "dlog": 1,
-        }
+        for kind, flags in (("pd", []), ("singular-b", ["--singular-b"])):
+            pair = self.gen(tmp_path, "23", "4", flags)
+            argv = ["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")] + (["--diagnostics"] if diagnostics else [])
+            calls.clear()
+            assert main(argv) == 0
+            assert Counter(calls) == expected[kind], kind
 
     @pytest.mark.parametrize("flags", [[], ["--singular-b"]], ids=["pd", "singular-b"])
     def test_shared_routes_start_before_their_readers(self, tmp_path, monkeypatch, flags):
-        pair = tmp_path / "pair.json"
-        main(["gen", "--seed", "23", "--dim", "6", *flags, "-o", str(pair)])
+        pair = self.gen(tmp_path, "23", "6", flags)
         starts = []  # names in start order; list.append is atomic
 
         def started(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 starts.append(name)
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return wrapper
 
-        readers = {
-            "proof_chain_integrals": {"chain_identity", "log_difference_representation", "dlog_representation"},
-            "rhs_frg1": {"main_identity_gamma_form", "form_equivalence", "chain_identity", "quadrature_psd"},
-            "rhs_frg": {"form_equivalence"},
-        }
-        for name in readers:
+        gamma_form = {"main_identity_gamma_form", "form_equivalence", "trace_formula", "quadrature_psd"}
+        chain = {"chain_identity", "log_difference_representation", "dlog_representation"}
+        readers = {"rhs_frg": {"form_equivalence", "trace_formula"}}
+        if flags:
+            readers["rhs_frg1"] = gamma_form
+        else:
+            readers["proof_chain_integrals"] = gamma_form | chain
+        for name in ("rhs_frg1", "rhs_frg", "proof_chain_integrals"):
             monkeypatch.setattr(cli, name, started(name, getattr(cli, name)))
         real_items = cli._suite_items
         monkeypatch.setattr(cli, "_suite_items", lambda *a: [(n, started(n, t)) for n, t in real_items(*a)])
         monkeypatch.setenv("FRENKEL_THREADS", "2")
         assert main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")]) == 0
-        routes = [name for name in starts if name in readers]
-        assert sorted(routes) == sorted((["proof_chain_integrals"] if not flags else []) + ["rhs_frg1", "rhs_frg"])
+        routes = [name for name in starts if name in ("rhs_frg1", "rhs_frg", "proof_chain_integrals")]
+        assert sorted(routes) == sorted(readers)
         for route in routes:
             assert all(starts.index(route) < starts.index(item) for item in readers[route]), (route, starts)
 
@@ -467,6 +485,29 @@ class TestProbeCommand:
         main(["gen", "--seed", "14", "--dim", "4", "-o", str(pair)])
         rc = main(["probe", "-i", str(pair), "-o", str(tmp_path / "g.csv")])
         assert rc == 2
+
+    def test_tol_matches_verify(self, tmp_path):
+        # The CSV values are those of verify's probe block at the same tol.
+        pair = tmp_path / "pair.json"
+        report = tmp_path / "r.json"
+        csv = tmp_path / "g.csv"
+        main(["gen", "--seed", "1", "--dim", "8", "--unsupported", "-o", str(pair)])
+        assert main(["verify", "-i", str(pair), "--tol", "1e-4", "-o", str(report)]) == 0
+        assert main(["probe", "-i", str(pair), "--tol", "1e-4", "-o", str(csv)]) == 0
+        values = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+        assert values == json.loads(report.read_text())["probe"]["values"]
+        default = tmp_path / "default.csv"
+        assert main(["probe", "-i", str(pair), "-o", str(default)]) == 0
+        assert default.read_text() != csv.read_text()
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "1.0", "1e-13"])
+    def test_out_of_range_tol_exits_two_without_csv(self, tmp_path, capsys, tol):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "g.csv"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        assert main(["probe", "-i", str(pair), f"--tol={tol}", "-o", str(out)]) == 2
+        assert "tol must be in [1e-12, 1e-2]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSuiteDirect:

@@ -1,11 +1,12 @@
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from frenkel import frechet, linalg, pencil, quadrature, schatten, workers
+from frenkel import cli, frechet, linalg, pencil, quadrature, schatten, workers
 from frenkel.cli import RunConfig, generate_pair
 from frenkel.schatten import CompactModel
 from frenkel.divergence import (
@@ -294,8 +295,11 @@ class TestProofChain:
         assert _chain_residual(pc, A, B, tol) <= 10 * tol
 
     def test_one_projector_per_node(self, monkeypatch):
-        # Three panel trees, gamma[B P, P/g, P/g^2], u[B P, P/u] and u[P/u^2],
-        # and one projector per node of them.
+        # Three panel trees, gamma[B P, P/g, P/g^2], u[B P, P/u] and u[P/u^2];
+        # with forms, rhs_frg1's two terms and the trace's u part join them.
+        # Each form's initial nodes get one eigh and one projector, whatever
+        # number of terms share them; each refinement node gets one
+        # decomposition by its own tree's kernel.
         rng = np.random.default_rng(144)
         tol = 1e-8
         while True:
@@ -314,22 +318,62 @@ class TestProofChain:
             for form in ("gamma", "u")
             for name, f in (("bp", b_proj), ("over", over(1)), ("over2", over(2)))
         }
-        calls, matrices = [], []
-        real_integral = quadrature.clipped_integral
+        for forms in (False, True):
+            with monkeypatch.context() as m:
+                self.check_projectors(m, pair, ref, forms, tol)
 
-        def counting_integral(*args, **kwargs):
-            calls.append(args[1])
-            return real_integral(*args, **kwargs)
+    @staticmethod
+    def check_projectors(m, pair, ref, forms, tol):
+        A, B = pair.A, pair.B
+        forms_called, trees, counts = [], [], Counter()
+        real_integrals, real_adaptive = quadrature.clipped_integrals, quadrature._adaptive
 
-        def counting_proj(mats):
-            matrices.append(len(mats))
-            return P(mats)
+        def counting_integrals(pair, form, terms):
+            forms_called.append((form, len(terms)))
+            return real_integrals(pair, form, terms)
 
-        monkeypatch.setattr(quadrature, "clipped_integral", counting_integral)
-        monkeypatch.setattr(quadrature, "_positive_proj_stack", counting_proj)
-        pc = proof_chain_integrals(A, B, tol)
-        assert calls == ["gamma", "u", "u"]
-        assert sum(matrices) == pc.evaluations
+        def recording(fv, a, b, tol, kinks=(), **kwargs):
+            res = real_adaptive(fv, a, b, tol, kinks=kinks, **kwargs)
+            initial = 15 * (len(quadrature._initial_bounds(a, b, kinks)) - 1)
+            trees.append((initial, res.evaluations - initial))
+            return res
+
+        def counting(name, fn, ndim):
+            def wrapper(x, *args, **kwargs):
+                if np.ndim(x) == ndim:  # the pencil stacks, not the pair's own set-up
+                    counts[name] += len(x)
+                return fn(x, *args, **kwargs)
+
+            return wrapper
+
+        m.setattr(quadrature, "clipped_integrals", counting_integrals)
+        m.setattr(quadrature, "_adaptive", recording)
+        # positive_projector_of(w, U) takes the (m, n) spectra of a stack.
+        m.setattr(quadrature, "positive_projector_of", counting("projector", quadrature.positive_projector_of, 2))
+        for name in ("eigh", "eigvalsh"):
+            m.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), 3))
+        out = proof_chain_integrals(A, B, tol, forms=forms)
+        pc = out[0] if forms else out
+        # trees: gamma[chain(, rhs_frg1)], then u[chain, chain(, rhs_frg1, trace)]
+        if forms:
+            assert forms_called == [("gamma", 2), ("u", 4)]
+            kinds = ["proj", "part", "proj", "proj", "part", "trace"]
+        else:
+            assert forms_called == [("gamma", 1), ("u", 2)]
+            kinds = ["proj", "proj", "proj"]
+        assert len(trees) == len(kinds)
+        refined = Counter()
+        for kind, (_, extra) in zip(kinds, trees):
+            refined[kind] += extra
+        gamma_nodes = trees[0][0]
+        u_nodes = trees[2 if forms else 1][0]
+        shared_nodes = u_nodes + (gamma_nodes if forms else 0)
+        # The standalone gamma tree, one term, decomposes its initial nodes itself.
+        own_nodes = 0 if forms else gamma_nodes
+        assert counts["eigh"] == shared_nodes + own_nodes + refined["proj"] + refined["part"]
+        assert counts["projector"] == shared_nodes + own_nodes + refined["proj"]
+        assert counts["eigvalsh"] == refined["trace"]
+        assert pc.evaluations == sum(initial + extra for (initial, extra), kind in zip(trees, kinds) if kind == "proj")
         assert pc.converged
         assert np.linalg.norm(pc.v - ref["gamma", "bp"], 2) <= tol
         assert np.linalg.norm(pc.w - ref["u", "bp"], 2) <= tol
@@ -427,6 +471,111 @@ class TestClippedIntegral:
         assert quadrature.clipped_integral(above, "u", ones, 1e-8) is None
         assert quadrature.clipped_integral(below, "gamma", ones, 1e-8) is None
         assert quadrature.clipped_integral(below, "s", ones, 1e-8) is None
+
+
+class TestSharedPanels:
+    """verify's clipped-pencil routes share each form's initial panels across
+    their terms, and every term keeps the panel tree it has alone."""
+
+    @staticmethod
+    def tree(r):
+        return (np.asarray(r.value).tobytes(), r.error_estimate, r.panels, r.evaluations, r.converged)
+
+    @staticmethod
+    def chain(pc):
+        return (pc.v.tobytes(), pc.w.tobytes(), pc.chain.tobytes(), pc.residual_log_difference, pc.residual_dlog_representation, pc.evaluations, pc.converged)
+
+    @pytest.mark.parametrize("dim", [6, 16])
+    @pytest.mark.parametrize("kind", ["pd", "commuting", "singular-b"])
+    def test_suite_routes_equal_the_standalone_routes(self, kind, dim):
+        tol = 1e-8
+        A, B = generate_pair(
+            RunConfig(command="gen", seed=7, dim=dim, condition_target=1e3, commuting=kind == "commuting", singular_b=kind == "singular-b")
+        )
+        pair = prepare_pair(A, B)
+        got = {name: fn(*args) for name, (fn, *args) in cli._suite_routes(pair, tol).items() if name in ("proof_chain_integrals", "rhs_frg1", "rhs_frg")}
+        assert ("proof_chain_integrals" in got) == (kind != "singular-b")
+        gamma_form, trace_u = cli._gamma_form(pair, got.__getitem__)
+        t_line, trace_s = got["rhs_frg"]
+        assert self.tree(gamma_form) == self.tree(rhs_frg1(A, B, tol))
+        assert self.tree(t_line) == self.tree(rhs_frg(A, B, tol))
+        if kind != "singular-b":
+            assert self.chain(got["proof_chain_integrals"][0]) == self.chain(proof_chain_integrals(A, B, tol))
+        # The trace's initial nodes read eigh's eigenvalues instead of eigvalsh's.
+        want = frenkel_trace(A, B, tol)
+        assert abs(quadrature._scalar_total([trace_s, trace_u]) - want) <= 1e-13 * abs(want)
+
+    def test_node_budget(self, monkeypatch):
+        # Before the routes shared their initial panels, this suite handed
+        # LAPACK 1732 eigh and 527 eigvalsh matrices.
+        monkeypatch.setenv("FRENKEL_THREADS", "1")
+        A, B = generate_pair(RunConfig(command="gen", seed=1, dim=32, condition_target=1e3))
+        counts = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counting(M, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += math.prod(np.shape(M)[:-2])
+                return _real(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert len(cli.run_verification_suite(A, B, 1e-8)["items"]) == 19
+        assert counts["eigh"] <= 1100 and counts["eigvalsh"] <= 100, counts
+
+    def test_capped_term_refines_alone(self, monkeypatch):
+        # At MAX_PANELS = 32 the chain's u[P/u^2] tree caps on this pair,
+        # while the other terms on the u nodes converge.  Trees run in the
+        # order gamma[chain, rhs_frg1], u[chain, P/u^2, rhs_frg1, trace].
+        tol = 1e-8
+        monkeypatch.setenv("FRENKEL_THREADS", "1")
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
+        A, B = generate_pair(RunConfig(command="gen", seed=1, dim=3, condition_target=1e6))
+        pair = prepare_pair(A, B)
+        trees, current = [], []
+        calls = [Counter() for _ in range(6)]
+        real_adaptive = quadrature._adaptive
+
+        def recording(*args, **kwargs):
+            current.append(len(trees))
+            try:
+                res = real_adaptive(*args, **kwargs)
+            finally:
+                current.pop()
+            trees.append(res)
+            return res
+
+        def counting(name, fn):
+            def wrapper(M):
+                if current:
+                    calls[current[-1]][name] += 1
+                    calls[current[-1]]["eigh matrices" if name != "positive_eig_stack" else "eigvalsh matrices"] += len(M)
+                return fn(M)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_adaptive", recording)
+            for name in ("_positive_proj_stack", "positive_part_stack", "positive_eig_stack"):
+                m.setattr(quadrature, name, counting(name, getattr(quadrature, name)))
+            pc, gamma_form, trace_u = proof_chain_integrals(A, B, tol, forms=True)
+        assert [r.converged for r in trees] == [True, True, True, False, True, True]
+        own = ["_positive_proj_stack", "positive_part_stack", "_positive_proj_stack", "_positive_proj_stack", "positive_part_stack", "positive_eig_stack"]
+        for k, kernel in enumerate(own):
+            assert set(calls[k]) <= {kernel, "eigh matrices", "eigvalsh matrices"}, (k, calls[k])
+        capped = calls[3]
+        assert set(capped) == {"_positive_proj_stack", "eigh matrices"}
+        # Every node the capped tree adds past its initial panels is one
+        # decomposition by its own kernel.
+        u_nodes = 15 * (len(quadrature._initial_bounds(*quadrature._form_domain(pair, "u")[:3])) - 1)
+        assert capped["eigh matrices"] == trees[3].evaluations - u_nodes
+        # The terms that converge keep their standalone trees.
+        assert not pc.converged
+        assert self.tree(gamma_form) == self.tree(rhs_frg1(A, B, tol))
+        alone = proof_chain_integrals(A, B, tol)
+        assert pc.w.tobytes() == alone.w.tobytes() and pc.v.tobytes() == alone.v.tobytes()
+        trace_alone = quadrature.clipped_integral(pair, "u", lambda M, u: linalg.positive_eig_stack(M).sum(axis=-1) / u, tol / 2)
+        assert [iv for iv, _ in trace_u.panels] == [iv for iv, _ in trace_alone.panels]
+        assert trace_u.evaluations == trace_alone.evaluations and trace_u.converged
+        assert float(trace_u.value) == pytest.approx(float(trace_alone.value), rel=1e-13)
 
 
 class TestDivergenceProbe:

@@ -7,6 +7,7 @@ renames or deletes one of them breaks only the traced benchmark run or a
 demo; these tests run them and fail at once instead.
 """
 
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -21,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+BENCH_SELF_TEST = ROOT / "perfbench" / "test_bench.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -132,3 +134,33 @@ def test_suite_route_table_matches_the_items(kind):
     for _, thunk in cli._suite_items(pair, 1e-8, route):
         thunk()
     assert reads == set(routes)
+
+
+def _traced_layers(workload):
+    """perfbench's TRACED_LAYERS[workload], read from its self-test's source."""
+    tree = ast.parse(BENCH_SELF_TEST.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED_LAYERS"]:
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("perfbench/test_bench.py has no TRACED_LAYERS")
+
+
+def test_verify_calls_the_routes_perfbench_traces(monkeypatch, tmp_path):
+    # perfbench's self-test requires the traced verify-mixed run to call
+    # these routes, and verify reaches them through cli's module globals.
+    # Each runs once per PD pair.
+    routes = [
+        layer.split(".")[1]
+        for layer in _traced_layers("verify-mixed")
+        if layer.split(".")[0] in ("divergence", "quadrature") and layer.endswith(".calls")
+    ]
+    assert sorted(routes) == ["delta_operator", "proof_chain_integrals"]
+    cli = importlib.import_module("frenkel.cli")
+    calls = []
+    for name in routes:
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    pair = tmp_path / "pair.json"
+    assert cli.main(["gen", "--seed", "1", "--dim", "4", "-o", str(pair)]) == 0
+    assert cli.main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")]) in (0, 1)
+    assert sorted(calls) == sorted(routes)
