@@ -289,7 +289,7 @@ def adaptive_matrix_integral(
 
 # The pencil of each form, built in place: one (m, n, n) temporary per
 # evaluation, with the same bits as A1 - g B1 (or u B1 - A1).  Each returns
-# the stack and the gamma (or clamped u) of each node.
+# the stack and the c of each node (see _form_domain).
 def _gamma_pencil(A1, B1, gs):
     M = gs[:, None, None] * B1[None]
     np.subtract(A1, M, out=M)
@@ -307,52 +307,47 @@ _PENCILS = {
     "gamma": _gamma_pencil,
     "u": _u_pencil,
     "s": lambda A1, B1, ss: _gamma_pencil(A1, B1, 1.0 / (1.0 - ss)),
+    "v": lambda A1, B1, vs: _gamma_pencil(B1, A1, 1.0 + vs),
+    "w": lambda A1, B1, ws: _u_pencil(A1, B1, 1.0 - ws),
 }
-
-
-def clipped_integral(
-    pair: PreparedPair, form: str, integrand: Callable, tol: float, head: float = 0.0
-) -> Optional[QuadratureResult]:
-    """One clipped-pencil integral of a prepared pair on its exact support.
-
-    form fixes the coordinate, its domain and the pencil:
-
-        "gamma"  gamma on [1, sigma_max],            A1 - gamma B1
-        "u"      u on [max(sigma_min, 0), 1],         u B1 - A1, u clamped at U_FLOOR
-        "s"      s on [0, 1 - 1/sigma_max],           A1 - gamma B1 at gamma = 1/(1-s)
-
-    Beyond these domains the clipped pencil vanishes, and the relative
-    eigenvalues sigma inside them, mapped to the coordinate, are the kinks.
-    integrand(M, c) maps the pencil stack and the gamma (or u) of each node
-    to the stacked values.  Returns None when the domain is empty, as both
-    are when range(B) is.
-
-    head (u form only): kinks at or below max(a, head) are not pre-split,
-    so [a, head] lies inside the first panel, which the tree refines only
-    if its own error estimate asks for it.
-    """
-    if head and form != "u":
-        raise ValueError("clipped_integral: head applies to the u form only")
-    domain = _form_domain(pair, form, head)
-    if domain is None:
-        return None
-    a, b, kinks, pencil = domain
-    return _adaptive(lambda xs: integrand(*pencil(xs)), a, b, tol, kinks=kinks)
+# The substituted coordinates as maps of gamma (s) or of u (v, w).
+_COORDS = {"s": lambda g: 1.0 - 1.0 / g, "v": lambda u: 1.0 / u - 1.0, "w": lambda u: 1.0 - u}
 
 
 def _form_domain(pair: PreparedPair, form: str, head: float = 0.0):
-    """(a, b, kinks, pencil) of a form (see clipped_integral), with pencil
-    mapping a stack of nodes to (M, c); None when the domain is empty."""
+    """(a, b, kinks, pencil) of a clipped-pencil form on its exact support,
+    with pencil mapping a stack of nodes to (M, c); None when the domain is
+    empty, as every domain is when range(B) is.
+
+        form   coordinate      domain                      pencil M                  c
+        gamma  gamma           [1, sigma_max]              A1 - gamma B1             gamma
+        s      1 - 1/gamma     [0, 1 - 1/sigma_max]        A1 - gamma B1             gamma
+        u      1/gamma         [max(sigma_min, 0), 1]      u B1 - A1                 u
+        v      gamma - 1       [0, 1/sigma_min - 1]        B1 - gamma A1             gamma
+        w      1 - 1/gamma     [0, 1]                      u B1 - A1 at u = 1 - w    u
+
+    u is clamped at U_FLOOR in the pencil and in c.  Beyond these domains
+    the clipped pencil vanishes, and the relative eigenvalues sigma inside
+    them, mapped to the coordinate, are the kinks; w reaches past sigma_min
+    to u = 0, so sigma_min is one of its kinks.  v's domain is infinite when
+    sigma_min = 0.  head: kinks at or below it are dropped (see
+    clipped_integrals).
+    """
     sigma = pair.sigma
-    if form == "u":
-        a, b = float(max(sigma.min(initial=1.0), 0.0)), 1.0
-    else:
+    if form in ("gamma", "s"):
         a, b = 1.0, float(sigma.max(initial=0.0))
+    else:
+        a, b = float(max(sigma.min(initial=1.0), 0.0)), 1.0
     if a >= b:
         return None
+    if form == "v" and a == 0.0:
+        raise ValueError("the v form needs sigma_min > 0")
+    if form == "w":
+        a = 0.0
     kinks = sigma[(sigma > max(a, head)) & (sigma < b)]
-    if form == "s":
-        a, b, kinks = 0.0, 1.0 - 1.0 / b, 1.0 - 1.0 / kinks
+    if form in _COORDS:
+        x = _COORDS[form]
+        (a, b), kinks = sorted((x(a), x(b))), x(kinks)
     A1, B1, pencil = pair.A1, pair.B1, _PENCILS[form]
     return a, b, kinks, lambda xs: pencil(A1, B1, xs)
 
@@ -389,10 +384,14 @@ class Term:
 
 def _form_term(clip: Clip, form: str, tol: float) -> Term:
     """A clipped pencil as the divergence's integrands weigh it, to tol / 2:
-    by 1/c on the gamma and u forms (dgamma/gamma, du/u), by gamma on s."""
-    if form == "s":
-        return Term(clip, lambda X, g: X * g.reshape(g.shape + (1,) * (X.ndim - 1)), tol / 2)
-    return Term(clip, lambda X, c: X / c.reshape(c.shape + (1,) * (X.ndim - 1)), tol / 2)
+    by gamma on s (gamma ds), by 1/c^2 on v (dgamma / gamma^2), and by 1/c
+    on gamma, u and w (dgamma / gamma, du / u, dw / u)."""
+
+    def weight(X, c):
+        c = c.reshape(c.shape + (1,) * (X.ndim - 1))
+        return X * c if form == "s" else X / (c * c if form == "v" else c)
+
+    return Term(clip, weight, tol / 2)
 
 
 def _divergence_terms(form: str, tol: float, trace: bool = False) -> list[Term]:
@@ -401,38 +400,44 @@ def _divergence_terms(form: str, tol: float, trace: bool = False) -> list[Term]:
     return [_form_term(POSITIVE_PART, form, tol)] + ([_form_term(TRACE, form, tol)] if trace else [])
 
 
-def clipped_integrals(pair: PreparedPair, form: str, terms: Sequence[Term]) -> list[Optional[QuadratureResult]]:
-    """The integrals of several terms on one form, each on its own panel tree.
+def clipped_integrals(pair: PreparedPair, form: str, terms: Sequence[Term], head: float = 0.0) -> list[Optional[QuadratureResult]]:
+    """The integrals of several terms on one form (see _form_domain), each on
+    its own panel tree; entries are None when the domain is empty.
 
-    The terms share their initial panels, one Kronrod panel per kink
-    interval.  There each node's pencil is built and decomposed by one eigh,
-    each distinct clip reduces (w, U) once, and (w, U) is dropped.  Each tree
-    then refines with its own kernel, tolerance and MAX_PANELS, so a term
-    gets the tree clipped_integral gives term.integrand alone, bit for bit,
-    except that a TRACE term's initial nodes read eigh's eigenvalues instead
-    of eigvalsh's.  A single term runs on its own kernel throughout.
-    Entries are None when the domain is empty.
+    A single term runs term.integrand throughout.  Several terms share their
+    initial panels, one Kronrod panel per kink interval.  There each node's
+    pencil is built and decomposed by one eigh, each distinct clip reduces
+    (w, U) once, and (w, U) is dropped.  Each tree then refines with its own
+    kernel, tolerance and MAX_PANELS, so a term gets the tree it gets alone,
+    bit for bit, except that a TRACE term's initial nodes read eigh's
+    eigenvalues instead of eigvalsh's.
+
+    head (u form only): kinks at or below max(a, head) are not pre-split,
+    so [a, head] lies inside the first panel, which a tree refines only if
+    its own error estimate asks for it.
     """
-    if len(terms) == 1:
-        return [clipped_integral(pair, form, terms[0].integrand, terms[0].tol)]
-    domain = _form_domain(pair, form)
+    if head and form != "u":
+        raise ValueError("clipped_integrals: head applies to the u form only")
+    domain = _form_domain(pair, form, head)
     if domain is None:
         return [None] * len(terms)
     a, b, kinks, pencil = domain
-    clips = list(dict.fromkeys(term.clip for term in terms))
+    columns = [None]
+    if len(terms) > 1:
+        clips = list(dict.fromkeys(term.clip for term in terms))
 
-    def shared(xs):
-        M, c = pencil(xs)
-        w, U = np.linalg.eigh(M)
-        del M
-        vals = {clip: clip.reduce(w, U) for clip in clips}
-        del w, U
-        for term in terms:
-            yield term.weight(vals[term.clip], c)
+        def shared(xs):
+            M, c = pencil(xs)
+            w, U = np.linalg.eigh(M)
+            del M
+            vals = {clip: clip.reduce(w, U) for clip in clips}
+            del w, U
+            for term in terms:
+                yield term.weight(vals[term.clip], c)
 
-    rows = _initial_panels(shared, _initial_bounds(a, b, kinks), _shared_panel)
-    columns = [list(col) for col in zip(*rows)]
-    del rows
+        rows = _initial_panels(shared, _initial_bounds(a, b, kinks), _shared_panel)
+        columns = [list(col) for col in zip(*rows)]
+        del rows
     # Each tree takes its column off the list, so a term's initial panels
     # are held only until its own tree has them.
     return [
@@ -484,7 +489,7 @@ def _combine(pair: PreparedPair, parts_list, panel_maps) -> QuadratureResult:
 
 def _rhs_frg1_result(pair: PreparedPair, r1, r2) -> QuadratureResult:
     """rhs_frg1's result from its gamma-form term 1 and u-form term 2."""
-    return _combine(pair, [r1, r2], [lambda iv: iv, lambda iv: (1.0 / iv[1], 1.0 / iv[0])])
+    return _combine(pair, [r1, r2], [lambda iv: iv, lambda iv: (1.0 / iv[1], math.inf if iv[0] == 0.0 else 1.0 / iv[0])])
 
 
 def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: bool = False):
@@ -525,41 +530,22 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: bo
     (see clipped_integrals) and return (result, that part).
     """
     pair = _supported_pair(A, B)
-    A1, B1, sigma = pair.A1, pair.B1, pair.sigma
-    sigma_min = float(max(sigma.min(initial=1.0), 0.0))
-
     # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
     r1, *part = clipped_integrals(pair, "s", _divergence_terms("s", tol, trace))
-
-    r2 = None
-    map2 = lambda iv: iv
-    if sigma_min < 1.0:
-        if sigma_min > 1e-6:
-            # v = gamma - 1 in [0, 1/sigma_min - 1]; integrand (1+v)^-2 O_{1+v}(B||A).
-            vmax = 1.0 / sigma_min - 1.0
-
-            def f2(vs):
-                M, g = _gamma_pencil(B1, A1, 1.0 + vs)
-                return positive_part_stack(M) / (g * g)[:, None, None]
-
-            inner = sigma[(sigma > sigma_min) & (sigma < 1.0)]
-            r2 = _adaptive(f2, 0.0, vmax, tol / 2, kinks=1.0 / inner - 1.0)
-            map2 = lambda iv: (-math.inf if iv[0] == 0.0 else -1.0 / iv[0], -1.0 / iv[1])
-        else:
-            # w = 1 - 1/gamma on [0, 1); the measure reduces to dw exactly and
-            # (B - gamma A)_+ is evaluated as gamma ((1-w) B - A)_+ to keep the
-            # eigenproblem at the scale of the operands.
-            term = _form_term(POSITIVE_PART, "u", tol)
-
-            def f2(ws):
-                return term.integrand(*_u_pencil(A1, B1, 1.0 - ws))
-
-            inner = sigma[(sigma > 0.0) & (sigma < 1.0)]
-            r2 = _adaptive(f2, 0.0, 1.0, term.tol, kinks=1.0 - inner)
-            map2 = lambda iv: (
-                -math.inf if iv[0] == 0.0 else -(1.0 - iv[0]) / iv[0],
-                -(1.0 - iv[1]) / max(iv[1], U_FLOOR) if iv[1] < 1.0 else 0.0,
-            )
+    # Piece 2 in v = gamma - 1 = -1/t, measure (B - gamma A)_+ dv / gamma^2.
+    # v's domain ends at 1/sigma_min - 1, so from sigma_min <= 1e-6 on it
+    # runs in w = 1 - 1/gamma = 1/(1-t) on [0, 1], where the measure reduces
+    # to dw exactly and (B - gamma A)_+ is evaluated as gamma ((1-w) B - A)_+
+    # to keep the eigenproblem at the scale of the operands.
+    form = "v" if pair.sigma.min(initial=1.0) > 1e-6 else "w"
+    (r2,) = clipped_integrals(pair, form, [_form_term(POSITIVE_PART, form, tol)])
+    map2 = {
+        "v": lambda iv: (-math.inf if iv[0] == 0.0 else -1.0 / iv[0], -1.0 / iv[1]),
+        "w": lambda iv: (
+            -math.inf if iv[0] == 0.0 else -(1.0 - iv[0]) / iv[0],
+            -(1.0 - iv[1]) / max(iv[1], U_FLOOR) if iv[1] < 1.0 else 0.0,
+        ),
+    }[form]
 
     # piece-1 s-interval (sa, sb) maps to t = 1/s, descending; report ascending.
     def map1_sorted(iv):
@@ -769,7 +755,9 @@ def divergence_probe(A: np.ndarray, B: np.ndarray, checkpoints: Sequence[float],
     A, B, x = pair.A, pair.B, pair.support.witness
     witness_mass = float((x.conj() @ A @ x).real)
     ts = np.sort(np.asarray(list(checkpoints), dtype=float))
-    if ts.size == 0 or ts[0] <= 1.0:
+    if ts.size == 0:
+        raise ValueError("divergence_probe: needs at least one checkpoint")
+    if ts[0] <= 1.0:
         raise ValueError("divergence_probe: checkpoints must be > 1")
     if np.any(ts[1:] == ts[:-1]):
         raise ValueError("divergence_probe: checkpoints must be distinct")

@@ -19,7 +19,7 @@ from . import frechet
 from .divergence import delta_operator, prepare_pair
 from .io import write_csv
 from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
-from .quadrature import U_FLOOR, _scalar_total, clipped_integral
+from .quadrature import U_FLOOR, Clip, Term, _scalar_total, clipped_integrals
 
 LAWS = ("power", "geom")
 SIGN_PATTERNS = ("pos", "alt", "seeded")
@@ -182,18 +182,18 @@ def _pnorm_rows(evals: np.ndarray, p: float) -> np.ndarray:
     return (evals**p).sum(axis=-1) ** (1 / p)
 
 
-def _clipped_eigs(mats: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(mats)
+def _above_zero(w: np.ndarray) -> np.ndarray:
     return np.where(w > 0.0, w, 0.0)
 
 
-def _pnorm_over(p: float):
-    """budget_e_p's integrand c^-1 ||(M)_+||_p over a pencil stack."""
+def _clipped_eigs(mats: np.ndarray) -> np.ndarray:
+    return _above_zero(np.linalg.eigvalsh(mats))
 
-    def f(M, c):
-        return _pnorm_rows(_clipped_eigs(M), p) / c
 
-    return f
+# budget_e_p's clip: the eigenvalues of (M)_+, clipped at > 0, not at the
+# zero band.  Its kernel looks _clipped_eigs up when it runs, so a patched
+# module attribute (the traced benchmark run) sees every call.
+EIGS_ABOVE_ZERO = Clip(lambda w, U: _above_zero(w), lambda M: _clipped_eigs(M))
 
 
 def _u_head(pair, p: float, tol: float) -> tuple[float, float]:
@@ -251,9 +251,9 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
         raise ValueError("budget_e_p: p must be >= 1 or inf")
     if not pair.support.holds:
         return math.inf
-    integrand = _pnorm_over(p)
-    results = {"gamma": clipped_integral(pair, "gamma", integrand, tol)}
-    results["u"] = clipped_integral(pair, "u", integrand, tol, head=_u_head(pair, p, tol)[0])
+    term = Term(EIGS_ABOVE_ZERO, lambda X, c: _pnorm_rows(X, p) / c, tol)
+    results = {"gamma": clipped_integrals(pair, "gamma", [term])[0]}
+    results["u"] = clipped_integrals(pair, "u", [term], head=_u_head(pair, p, tol)[0])[0]
     for form, r in results.items():
         if r is not None and not r.converged:
             raise ValueError(

@@ -121,6 +121,27 @@ class TestVerify:
         skipped = {it["name"] for it in report["items"] if it.get("skipped")}
         assert "log_resolvent_oracle" in skipped
 
+    @pytest.mark.parametrize("kind", ["zero-a", "psd-kernel-a"])
+    def test_a_singular_on_range_b_verifies(self, tmp_path, kind):
+        # sigma_min = 0: the gamma form's u-panel from u = 0 is logged up to
+        # gamma = inf.  Both pairs once ended in a ZeroDivisionError traceback
+        # with exit 1 and no report.
+        if kind == "zero-a":
+            A, B = np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)
+        else:
+            U = linalg.random_unitary(4, np.random.default_rng(5))
+            A, B = linalg.rebuild(U, np.array([1.0, 0.5, 0.2, 0.0])), 1.3 * np.eye(4, dtype=complex)
+        pair = tmp_path / "pair.json"
+        report_path = tmp_path / "report.json"
+        write_pair(pair, A, B, seed=1)
+        assert main(["verify", "-i", str(pair), "--diagnostics", "-o", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["all_pass"] is True and len(report["items"]) == 19
+        gamma_form = report["diagnostics"]["gamma_form"]
+        ends = [x for lo, hi, _ in gamma_form["panels"] for x in (lo, hi)]
+        assert gamma_form["converged"] is True
+        assert "inf" in ends and min(x for x in ends if x != "inf") == 1.0
+
     def test_ill_conditioned_pd_pair_reports_every_item(self, tmp_path):
         # sigma spans 2.2e-8 .. 6.0e7, yet A and B are each PD on their own
         # spectra: the chain items run and the pair ends in a full report.
@@ -453,6 +474,14 @@ class TestProbeCommand:
         main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
         assert main(["probe", "-i", str(pair), "--checkpoints", f"10,{last}", "-o", str(out)]) == 2
         assert "t_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_checkpoint_exits_two(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "g.csv"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        assert main(["probe", "-i", str(pair), "--checkpoints", "", "-o", str(out)]) == 2
+        assert "divergence_probe: needs at least one checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_checkpoint_exits_two(self, tmp_path, capsys):

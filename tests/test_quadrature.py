@@ -307,14 +307,13 @@ class TestProofChain:
             pair = prepare_pair(A, B)
             if pair.sigma.min() < 1.0 < pair.sigma.max():
                 break
-        P = quadrature._positive_proj_stack
 
         def over(k):
-            return lambda M, c: P(M) / (c**k)[:, None, None]
+            return lambda P, c: P / (c**k)[:, None, None]
 
-        b_proj = lambda M, c: pair.B[None] @ P(M)
+        b_proj = lambda P, c: pair.B[None] @ P
         ref = {
-            (form, name): quadrature.clipped_integral(pair, form, f, tol / 2).value
+            (form, name): quadrature.clipped_integrals(pair, form, [quadrature.Term(quadrature.PROJECTOR, f, tol / 2)])[0].value
             for form in ("gamma", "u")
             for name, f in (("bp", b_proj), ("over", over(1)), ("over2", over(2)))
         }
@@ -412,8 +411,20 @@ class TestProofChain:
         assert calls
 
 
+def _ones(seen=None, pencil=None):
+    """A term integrating 1 whose weight sees the pencil stack itself, and
+    records the largest distance from pencil(c) when given one."""
+
+    def weight(M, c):
+        if pencil is not None:
+            seen.append(float(np.abs(M - pencil(c)).max()))
+        return np.ones(len(c))
+
+    return quadrature.Term(quadrature.Clip(None, lambda M: M), weight, 1e-10)
+
+
 class TestClippedIntegral:
-    """The three pencil forms of the shared core, on their exact domains."""
+    """The five pencil forms of the one clipped-pencil core, on their exact domains."""
 
     @staticmethod
     def pair_straddling_one():
@@ -428,24 +439,41 @@ class TestClippedIntegral:
         A1, B1, sigma = pair.A1, pair.B1, pair.sigma
         lo, hi = float(sigma.min()), float(sigma.max())
         inner = sigma[(sigma > 1.0) & (sigma < hi)]
+        below = sigma[(sigma > lo) & (sigma < 1.0)]
+        gamma_pencil = lambda c: A1[None] - c[:, None, None] * B1[None]
+        u_pencil = lambda c: c[:, None, None] * B1[None] - A1[None]
         forms = {
-            "gamma": ((1.0, hi), inner, lambda c: A1[None] - c[:, None, None] * B1[None]),
-            "u": ((lo, 1.0), sigma[(sigma > lo) & (sigma < 1.0)], lambda c: c[:, None, None] * B1[None] - A1[None]),
-            "s": ((0.0, 1.0 - 1.0 / hi), 1.0 - 1.0 / inner, lambda c: A1[None] - c[:, None, None] * B1[None]),
+            "gamma": ((1.0, hi), inner, gamma_pencil),
+            "u": ((lo, 1.0), below, u_pencil),
+            "s": ((0.0, 1.0 - 1.0 / hi), 1.0 - 1.0 / inner, gamma_pencil),
+            "v": ((0.0, 1.0 / lo - 1.0), 1.0 / below - 1.0, lambda c: B1[None] - c[:, None, None] * A1[None]),
+            # w reaches past sigma_min to u = 0, so sigma_min is a kink too
+            "w": ((0.0, 1.0), 1.0 - sigma[sigma < 1.0], u_pencil),
         }
         for form, ((a, b), kinks, pencil) in forms.items():
             seen = []
-
-            def ones(M, c):
-                seen.append(float(np.abs(M - pencil(c)).max()))
-                return np.ones(len(c))
-
-            r = quadrature.clipped_integral(pair, form, ones, 1e-10)
+            (r,) = quadrature.clipped_integrals(pair, form, [_ones(seen, pencil)])
             edges = {x for iv, _ in r.panels for x in iv}
             assert r.panels[0][0][0] == a and r.panels[-1][0][1] == b, form
-            assert set(kinks.tolist()) <= edges, form
+            # a constant integrand never refines: the edges are the kinks
+            assert kinks.size and edges == set(kinks.tolist()) | {a, b}, form
             assert float(r.value) == pytest.approx(b - a, rel=1e-13), form
             assert max(seen) == 0.0, form
+
+    def test_c_of_each_form(self):
+        # c is gamma on gamma, s and v, and u, clamped at U_FLOOR, on u and w.
+        pair = self.pair_straddling_one()
+        xs = np.array([0.0, 0.25, 0.5])
+        want = {
+            "gamma": xs,
+            "s": 1.0 / (1.0 - xs),
+            "u": np.maximum(xs, quadrature.U_FLOOR),
+            "v": 1.0 + xs,
+            "w": np.maximum(1.0 - xs, quadrature.U_FLOOR),
+        }
+        for form, c in want.items():
+            *_, pencil = quadrature._form_domain(pair, form)
+            assert pencil(xs)[1].tolist() == c.tolist(), form
 
     def test_head_leaves_low_kinks_unsplit(self):
         pair = self.pair_straddling_one()
@@ -453,24 +481,114 @@ class TestClippedIntegral:
         inner = np.sort(sigma[(sigma > sigma.min()) & (sigma < 1.0)])
         assert inner.size >= 2
         head = 0.5 * (inner[0] + inner[1])
-        ones = lambda M, c: np.ones(len(c))
-        r = quadrature.clipped_integral(pair, "u", ones, 1e-10, head=head)
+        (r,) = quadrature.clipped_integrals(pair, "u", [_ones()], head=head)
         edges = {x for iv, _ in r.panels for x in iv}
         assert inner[0] not in edges and head not in edges
         assert set(inner[1:].tolist()) <= edges
         assert float(r.value) == pytest.approx(1.0 - float(sigma.min()), rel=1e-13)
-        with pytest.raises(ValueError, match="u form only"):
-            quadrature.clipped_integral(pair, "gamma", ones, 1e-10, head=head)
+        for form in ("gamma", "s", "v", "w"):
+            with pytest.raises(ValueError, match="u form only"):
+                quadrature.clipped_integrals(pair, form, [_ones()], head=head)
 
     def test_empty_domains(self):
         rng = np.random.default_rng(152)
         B = rand_pd(rng, 4)
         above = prepare_pair(2.0 * B, B)  # sigma = 2: nothing below 1
         below = prepare_pair(0.5 * B, B)  # sigma = 1/2: nothing above 1
-        ones = lambda M, c: np.ones(len(c))
-        assert quadrature.clipped_integral(above, "u", ones, 1e-8) is None
-        assert quadrature.clipped_integral(below, "gamma", ones, 1e-8) is None
-        assert quadrature.clipped_integral(below, "s", ones, 1e-8) is None
+        empty = prepare_pair(np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex))  # range(B) = 0
+        for pair, forms in ((above, "uvw"), (below, ("gamma", "s")), (empty, ("gamma", "s", "u", "v", "w"))):
+            for form in forms:
+                assert quadrature.clipped_integrals(pair, form, [_ones(), _ones()]) == [None, None], form
+
+    def test_v_rejects_a_zero_sigma_min(self):
+        # A = 0 against B = I: sigma_min = 0, so v = gamma - 1 has no end.
+        pair = prepare_pair(np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="sigma_min > 0"):
+            quadrature.clipped_integrals(pair, "v", [_ones()])
+        (r,) = quadrature.clipped_integrals(pair, "w", [_ones()])
+        assert float(r.value) == pytest.approx(1.0, rel=1e-13)
+
+
+def _old_rhs_frg(A, B, tol):
+    """rhs_frg with its piece 2 as hand-written before it became the v and
+    w forms of the core: the bit-for-bit reference."""
+    pair = prepare_pair(A, B)
+    A1, B1, sigma = pair.A1, pair.B1, pair.sigma
+    sigma_min = float(max(sigma.min(initial=1.0), 0.0))
+    (r1,) = quadrature.clipped_integrals(pair, "s", quadrature._divergence_terms("s", tol))
+    r2, map2 = None, lambda iv: iv
+    if sigma_min < 1.0:
+        if sigma_min > 1e-6:
+
+            def f2(vs):
+                g = 1.0 + vs
+                M = B1[None] - g[:, None, None] * A1[None]
+                return linalg.positive_part_stack(M) / (g * g)[:, None, None]
+
+            inner = sigma[(sigma > sigma_min) & (sigma < 1.0)]
+            r2 = quadrature._adaptive(f2, 0.0, 1.0 / sigma_min - 1.0, tol / 2, kinks=1.0 / inner - 1.0)
+            map2 = lambda iv: (-math.inf if iv[0] == 0.0 else -1.0 / iv[0], -1.0 / iv[1])
+        else:
+
+            def f2(ws):
+                u = np.maximum(1.0 - ws, quadrature.U_FLOOR)
+                M = u[:, None, None] * B1[None] - A1[None]
+                return linalg.positive_part_stack(M) / u[:, None, None]
+
+            inner = sigma[(sigma > 0.0) & (sigma < 1.0)]
+            r2 = quadrature._adaptive(f2, 0.0, 1.0, tol / 2, kinks=1.0 - inner)
+            map2 = lambda iv: (
+                -math.inf if iv[0] == 0.0 else -(1.0 - iv[0]) / iv[0],
+                -(1.0 - iv[1]) / max(iv[1], quadrature.U_FLOOR) if iv[1] < 1.0 else 0.0,
+            )
+
+    def map1(iv):
+        return (1.0 / iv[1], math.inf if iv[0] == 0.0 else 1.0 / iv[0])
+
+    return quadrature._combine(pair, [r2, r1], [map2, map1])
+
+
+def _psd_kernel_pair():
+    """A 4 x 4 PSD A with a kernel inside range(B), B = 1.3 I: sigma_min = 0."""
+    U = linalg.random_unitary(4, np.random.default_rng(5))
+    return linalg.rebuild(U, np.array([1.0, 0.5, 0.2, 0.0])), 1.3 * np.eye(4, dtype=complex)
+
+
+class TestPieceTwoForms:
+    """rhs_frg's piece 2 runs on the core's v and w forms with the trees of
+    the hand-written integrands it replaced, bit for bit."""
+
+    @staticmethod
+    def tree(r):
+        return (r.value.tobytes(), r.error_estimate, r.tail_bound, r.panels, r.evaluations, r.converged)
+
+    @pytest.mark.parametrize(
+        "name, branch",
+        [("cond-1e3", "v"), ("cond-1e7", "w"), ("sigma-min-zero", "w")],
+    )
+    def test_rhs_frg_equals_the_hand_written_piece_two(self, name, branch):
+        A, B = {
+            "cond-1e3": lambda: generate_pair(RunConfig(command="gen", seed=1, dim=6, condition_target=1e3)),
+            "cond-1e7": lambda: generate_pair(RunConfig(command="gen", seed=1, dim=6, condition_target=1e7)),
+            "sigma-min-zero": _psd_kernel_pair,
+        }[name]()
+        sigma_min = prepare_pair(A, B).sigma.min()
+        assert (sigma_min > 1e-6) == (branch == "v") and (sigma_min <= 0.0) == (name == "sigma-min-zero")
+        tol = 1e-8
+        want = self.tree(_old_rhs_frg(A, B, tol))
+        assert self.tree(rhs_frg(A, B, tol)) == want
+        assert self.tree(rhs_frg(A, B, tol, trace=True)[0]) == want
+
+    def test_rhs_frg1_at_a_zero_sigma_min(self):
+        # The u-panel that starts at u = 0 is logged up to gamma = inf.
+        for A, B in (_psd_kernel_pair(), (np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex))):
+            assert prepare_pair(A, B).sigma.min() <= 0.0
+            r = rhs_frg1(A, B, 1e-8)
+            assert r.converged
+            assert np.linalg.norm(r.value - delta_operator(A, B).delta, 2) <= 1e-8
+            assert max(hi for (_, hi), _ in r.panels) == math.inf
+            assert min(lo for (lo, _), _ in r.panels) == 1.0
+            assert np.linalg.norm(r.value - rhs_frg(A, B, 1e-8).value, 2) <= 2e-8
 
 
 class TestSharedPanels:
@@ -572,7 +690,7 @@ class TestSharedPanels:
         assert self.tree(gamma_form) == self.tree(rhs_frg1(A, B, tol))
         alone = proof_chain_integrals(A, B, tol)
         assert pc.w.tobytes() == alone.w.tobytes() and pc.v.tobytes() == alone.v.tobytes()
-        trace_alone = quadrature.clipped_integral(pair, "u", lambda M, u: linalg.positive_eig_stack(M).sum(axis=-1) / u, tol / 2)
+        (trace_alone,) = quadrature.clipped_integrals(pair, "u", [quadrature._form_term(quadrature.TRACE, "u", tol)])
         assert [iv for iv, _ in trace_u.panels] == [iv for iv, _ in trace_alone.panels]
         assert trace_u.evaluations == trace_alone.evaluations and trace_u.converged
         assert float(trace_u.value) == pytest.approx(float(trace_alone.value), rel=1e-13)

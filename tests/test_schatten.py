@@ -212,8 +212,47 @@ HEAD_PAIRS = {
 }
 
 
+def budget_term(p, tol):
+    """budget_e_p's term: the clip's p-norm over c."""
+    return quadrature.Term(schatten.EIGS_ABOVE_ZERO, lambda X, c: schatten._pnorm_rows(X, p) / c, tol)
+
+
+def old_budget_e_p(A, B, p, tol):
+    """budget_e_p as hand-written before its integrand became a Term of the
+    core: the bit-for-bit reference."""
+    pair = prepare_pair(A, B)
+    A1, B1, sigma = pair.A1, pair.B1, pair.sigma
+
+    def f(M, c):
+        w = np.linalg.eigvalsh(M)
+        return schatten._pnorm_rows(np.where(w > 0.0, w, 0.0), p) / c
+
+    def gamma_form(gs):
+        return f(A1[None] - gs[:, None, None] * B1[None], gs)
+
+    def u_form(us):
+        u = np.maximum(us, quadrature.U_FLOOR)
+        return f(u[:, None, None] * B1[None] - A1[None], u)
+
+    total = 0.0
+    hi = float(sigma.max())
+    if hi > 1.0:
+        total += float(quadrature._adaptive(gamma_form, 1.0, hi, tol, kinks=sigma[(sigma > 1.0) & (sigma < hi)]).value)
+    a = max(float(sigma.min()), 0.0)
+    if a < 1.0:
+        head = schatten._u_head(pair, p, tol)[0]
+        total += float(quadrature._adaptive(u_form, a, 1.0, tol, kinks=sigma[(sigma > max(a, head)) & (sigma < 1.0)]).value)
+    return total
+
+
 class TestBudgetHead:
     TOL = 1e-6
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("name", ["dominated-24", "singular-a", "rounding-negative"])
+    def test_equals_the_hand_written_integrands(self, name, p):
+        A, B = dominated_pair(24) if name == "dominated-24" else HEAD_PAIRS[name]()
+        assert schatten.budget_e_p(A, B, p, tol=self.TOL) == old_budget_e_p(A, B, p, self.TOL)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("name", list(HEAD_PAIRS))
@@ -226,8 +265,8 @@ class TestBudgetHead:
         # the u-integral over [a, delta], pre-split at every kink inside it
         sigma = pair.sigma
         a = max(float(sigma.min()), 0.0)
-        integrand = schatten._pnorm_over(p)
-        f = lambda us: integrand(*quadrature._u_pencil(pair.A1, pair.B1, us))
+        term = budget_term(p, 1e-12)
+        f = lambda us: term.integrand(*quadrature._u_pencil(pair.A1, pair.B1, us))
         r = quadrature._adaptive(f, a, delta, 1e-12, kinks=sigma[(sigma > a) & (sigma < delta)])
         assert r.converged
         assert float(r.value) <= bound
@@ -236,8 +275,7 @@ class TestBudgetHead:
     def test_value_matches_every_kink_split(self, p):
         A, B = dominated_pair(88)
         pair = prepare_pair(A, B)
-        integrand = schatten._pnorm_over(p)
-        want = sum(float(quadrature.clipped_integral(pair, form, integrand, self.TOL).value) for form in ("gamma", "u"))
+        want = sum(float(quadrature.clipped_integrals(pair, form, [budget_term(p, self.TOL)])[0].value) for form in ("gamma", "u"))
         assert abs(schatten.budget_e_p(A, B, p, tol=self.TOL) - want) <= self.TOL / 4
 
     def test_evaluations_at_n88(self, monkeypatch):

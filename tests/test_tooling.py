@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "frenkel"
 TRACING = ROOT / "perfbench" / "tracing.py"
 BENCH_SELF_TEST = ROOT / "perfbench" / "test_bench.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -164,3 +165,40 @@ def test_verify_calls_the_routes_perfbench_traces(monkeypatch, tmp_path):
     assert cli.main(["gen", "--seed", "1", "--dim", "4", "-o", str(pair)]) == 0
     assert cli.main(["verify", "-i", str(pair), "-o", str(tmp_path / "r.json")]) in (0, 1)
     assert sorted(calls) == sorted(routes)
+
+
+def _owners(names) -> set:
+    """"module.owner" for every use of the names in the package source, where
+    owner is the top-level function, class or assignment the use sits in."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+            else:
+                owner = ",".join(ast.unparse(t) for t in getattr(top, "targets", ())) or type(top).__name__
+            for node in ast.walk(top):
+                if getattr(node, "id", None) in names or (isinstance(node, ast.Attribute) and node.attr in names):
+                    out.add(f"{path.stem}.{owner}")
+    return out
+
+
+def test_one_clipped_pencil_core():
+    # Every clipped-pencil integral goes through quadrature.clipped_integrals,
+    # and quadrature._form_domain owns each form's coordinate, domain, kinks
+    # and pencil.  The panel-tree driver has three other callers, which
+    # integrate no clipped pencil on a form's domain: the generic matrix
+    # integral, the probe's log-gamma windows and the resolvent half-line.
+    assert _owners({"_adaptive"}) == {
+        "quadrature.clipped_integrals",
+        "quadrature.adaptive_matrix_integral",
+        "quadrature.divergence_probe",
+        "resolvent._halfline",
+    }
+    # The pencils are built only from the forms' table, and by the probe's
+    # witness form on its own log-gamma coordinate.
+    assert _owners({"_gamma_pencil", "_u_pencil", "_PENCILS"}) == {
+        "quadrature._PENCILS",
+        "quadrature._form_domain",
+        "quadrature._witness_form",
+    }
