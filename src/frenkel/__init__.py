@@ -29,7 +29,6 @@ from .linalg import (
     psd_order,
     random_unitary,
     schatten_norm,
-    spectral_apply,
     support_relation,
 )
 from .frechet import dlog, dlog_fd_oracle, loewner_log, trace_pairing_check
@@ -79,7 +78,7 @@ from .schatten import (
     truncation_series,
 )
 from .cli import RunConfig, generate_pair, run_verification_suite
-from .io import read_matrix, read_pair, write_matrix, write_pair
+from .io import read_pair, write_pair
 
 __version__ = "0.1.0"
 
@@ -133,13 +132,11 @@ __all__ = [
     "proof_chain_integrals",
     "psd_order",
     "random_unitary",
-    "read_matrix",
     "read_pair",
     "rhs_frg",
     "rhs_frg1",
     "run_verification_suite",
     "schatten_norm",
-    "spectral_apply",
     "support_relation",
     "synth_compact",
     "theorem3_convergence",
@@ -147,6 +144,5 @@ __all__ = [
     "trace_pairing_check",
     "truncate",
     "truncation_series",
-    "write_matrix",
     "write_pair",
 ]

@@ -65,20 +65,6 @@ class DivergenceReport:
     residual_trace_consistency: float
     delta_min_eigenvalue: float
 
-    def to_json_dict(self) -> dict:
-        from .io import json_ready
-
-        return json_ready(
-            {
-                "dichotomy": self.dichotomy,
-                "trace_div": self.trace_div,
-                "residual_trace_consistency": self.residual_trace_consistency,
-                "delta_min_eigenvalue": self.delta_min_eigenvalue,
-                "delta": self.delta,
-                "witness": self.witness,
-            }
-        )
-
 
 def o_gamma(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Clipped operator (A - gamma B)_+."""

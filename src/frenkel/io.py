@@ -1,9 +1,9 @@
-"""File formats: JSON matrices and pairs, CSV tables.
+"""File formats: JSON pair files, CSV tables.
 
-Matrix files are JSON objects {"n": int, "re": n x n, "im": n x n}; the
-writer emits 17 significant digits (exact binary64 round-trip).  The matrix
-reader symmetrizes and reports the Hermiticity defect of what was stored;
-the pair reader rejects a defect above HERMITICITY_RTOL * max |entry|.
+A pair file holds two matrices, each a JSON object {"n": int, "re": n x n,
+"im": n x n}; the writer emits 17 significant digits (exact binary64
+round-trip).  The pair reader symmetrizes both matrices and rejects a
+Hermiticity defect above HERMITICITY_RTOL * max |entry|.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .linalg import as_hermitian, hermitian_part, hermiticity_defect
+from .linalg import as_hermitian
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -30,7 +30,7 @@ def _rows(M: np.ndarray) -> str:
 
 
 def matrix_json(M: np.ndarray) -> str:
-    """Serialize a complex matrix to the package JSON matrix format."""
+    """Serialize a complex matrix to the JSON matrix object of a pair file."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     return '{"n":%d,"re":%s,"im":%s}' % (n, _rows(M.real), _rows(M.imag))
@@ -42,39 +42,13 @@ def _open_write(path_or_file, mode="w"):
     return open(path_or_file, mode), True
 
 
-def write_matrix(path_or_file: PathOrFile, M: np.ndarray) -> None:
-    fh, owned = _open_write(path_or_file)
-    try:
-        fh.write(matrix_json(M))
-        fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
-
-
 def _stored_matrix(obj: dict) -> np.ndarray:
     n = int(obj["n"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
-        raise ValueError(f"matrix file: shape mismatch, n={n}, re {re.shape}, im {im.shape}")
+        raise ValueError(f"shape mismatch, n={n}, re {re.shape}, im {im.shape}")
     return re + 1j * im
-
-
-def matrix_from_dict(obj: dict) -> tuple[np.ndarray, float]:
-    """Decode {"n","re","im"}; returns the symmetrized matrix and its stored defect."""
-    M = _stored_matrix(obj)
-    return hermitian_part(M), hermiticity_defect(M)
-
-
-def read_matrix(path_or_file: PathOrFile) -> tuple[np.ndarray, float]:
-    """Read a matrix file; returns (Hermitian matrix, Hermiticity defect)."""
-    if hasattr(path_or_file, "read"):
-        obj = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            obj = json.load(fh)
-    return matrix_from_dict(obj)
 
 
 def pair_json(A: np.ndarray, B: np.ndarray, seed=None) -> str:

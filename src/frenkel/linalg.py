@@ -8,7 +8,7 @@ nothing is mutated in place, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return rebuild(self.eigenvectors, self.eigenvalues)
-
 
 def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
@@ -110,25 +107,6 @@ def range_mask(w: np.ndarray) -> np.ndarray:
     """The package's one zero-band test, over the last axis of a spectrum or a
     stack of spectra: eigenvalues above the band; on a PSD spectrum, its range."""
     return w > zero_band(w)[..., None]
-
-
-def spectral_apply(T: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns U diag(f(w)) U*.  Raises ValueError naming the offending
-    eigenvalue when f is undefined (non-finite or raising) there.
-    """
-    dec = eig_hermitian(T)
-    vals = np.empty_like(dec.eigenvalues)
-    for i, lam in enumerate(dec.eigenvalues):
-        try:
-            y = f(float(lam))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"spectral_apply: f undefined at eigenvalue {lam!r}: {exc}") from exc
-        if not np.isfinite(y):
-            raise ValueError(f"spectral_apply: f({lam!r}) = {y!r} is not finite")
-        vals[i] = y
-    return rebuild(dec.eigenvectors, vals)
 
 
 @dataclass(frozen=True)

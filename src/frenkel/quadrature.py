@@ -206,15 +206,13 @@ def _initial_bounds(a: float, b: float, kinks: Sequence[float]) -> list[float]:
     return out
 
 
-def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: Optional[int] = None, initial=None) -> QuadratureResult:
+def _adaptive(fv, a: float, b: float, tol: float, kinks=(), initial=None) -> QuadratureResult:
     """The panel tree of fv on [a, b], split first at the kinks, to tol.
 
     initial, when given, holds the Kronrod panels of fv on those first
-    bounds, computed by the caller (see clipped_integrals); max_panels
-    defaults to MAX_PANELS as it reads when the call is made.
+    bounds, computed by the caller (see clipped_integrals).  The tree stops
+    at MAX_PANELS as the module reads when the call runs.
     """
-    if max_panels is None:
-        max_panels = MAX_PANELS
     bounds = _initial_bounds(a, b, kinks)
     if initial is None:
         initial = _initial_panels(fv, bounds)
@@ -227,7 +225,7 @@ def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: Optional
         total_err += err
         heappush(heap, (-err, lo, hi, val))
     n_panels = len(heap)
-    while total_err > tol and heap and n_panels < max_panels:
+    while total_err > tol and heap and n_panels < MAX_PANELS:
         neg_err, lo, hi, val = heappop(heap)
         err = -neg_err
         if err == 0.0 or (hi - lo) <= 1e-15 * max(1.0, abs(lo), abs(hi)):
@@ -259,21 +257,14 @@ def _adaptive(fv, a: float, b: float, tol: float, kinks=(), max_panels: Optional
     )
 
 
-def adaptive_matrix_integral(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float,
-    kinks: Sequence[float] = (),
-    max_panels: int = MAX_PANELS,
-) -> QuadratureResult:
+def adaptive_matrix_integral(f: Callable, a: float, b: float, tol: float, kinks: Sequence[float] = ()) -> QuadratureResult:
     """Integrate a matrix-valued function over [a, b] to absolute tolerance tol.
 
     Adaptive bisection with a 15-point Kronrod rule applied to all entries
     simultaneously; the local error is the operator norm of the embedded
     Gauss/Kronrod difference, so the panel tree (hence the Hermiticity of
     the result for Hermitian integrands) is shared by every entry.  Supplied
-    kinks become initial panel boundaries.  When the panel cap is reached
+    kinks become initial panel boundaries.  When the tree reaches MAX_PANELS
     the best value is returned flagged converged=False.
 
     f maps one float to one value; it may be called from up to
@@ -284,7 +275,7 @@ def adaptive_matrix_integral(
     if tol <= 0:
         raise ValueError("adaptive_matrix_integral: tol must be positive")
     fv = lambda xs: np.stack([np.asarray(f(float(x))) for x in xs])
-    return _adaptive(fv, float(a), float(b), float(tol), kinks=kinks, max_panels=max_panels)
+    return _adaptive(fv, float(a), float(b), float(tol), kinks=kinks)
 
 
 # The pencil of each form, built in place: one (m, n, n) temporary per

@@ -71,7 +71,6 @@ def log_resolvent(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """|A| as (2/pi) integral_0^inf A^2 (A^2 + x^2 I)^-1 dx for Hermitian A."""
     A = hermitian_part(np.asarray(A, dtype=complex))
-    n = A.shape[0]
     norm_a = opnorm(A)
     if norm_a == 0.0:
         return np.zeros_like(A)
@@ -79,8 +78,7 @@ def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     c = max(norm_a, 1.0)
 
     def fx(xs):
-        inv = np.linalg.inv(A2[None] + (xs**2)[:, None, None] * np.eye(n)[None])
-        return (2.0 / math.pi) * (A2[None] @ inv)
+        return (2.0 / math.pi) * (A2[None] @ _shifted_inv(A2, xs**2))
 
     return hermitian_part(_halfline(fx, c, tol).value)
 

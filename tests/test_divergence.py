@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 
@@ -99,15 +98,6 @@ class TestDeltaOperator:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             delta_operator(np.diag([1.0, -0.2]).astype(complex), np.eye(2, dtype=complex))
-
-    def test_report_serialization_sentinels(self):
-        rng = np.random.default_rng(78)
-        A, B = unsupported_pair(rng, 3)
-        rep = delta_operator(A, B)
-        obj = rep.to_json_dict()
-        text = json.dumps(obj)
-        assert json.loads(text)["trace_div"] == "inf"
-        assert json.loads(text)["delta"] is None
 
 
 class TestTraceDivergence:

@@ -10,35 +10,16 @@ from util import rand_herm
 
 
 class TestMatrixFormat:
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(201)
-        M = rand_herm(rng, 5)
-        buf = io.StringIO()
-        fio.write_matrix(buf, M)
-        buf.seek(0)
-        back, defect = fio.read_matrix(buf)
-        assert np.array_equal(back, M)
-        assert defect <= 1e-16 * np.abs(M).max()
-
     def test_seventeen_significant_digits(self):
         M = np.array([[1.0 / 3.0]], dtype=complex)
         text = fio.matrix_json(M)
         assert format(1.0 / 3.0, ".17g") in text
 
-    def test_reader_symmetrizes_and_reports_defect(self):
-        obj = {"n": 2, "re": [[1.0, 2.0], [2.5, 3.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
-        M, defect = fio.matrix_from_dict(obj)
-        assert defect == 0.25
-        assert np.allclose(M, [[1.0, 2.25], [2.25, 3.0]])
-
     def test_shape_mismatch_rejected(self):
-        obj = {"n": 2, "re": [[1.0]], "im": [[0.0]]}
-        try:
-            fio.matrix_from_dict(obj)
-        except ValueError as exc:
-            assert "shape" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        obj = json.loads(fio.pair_json(np.eye(2), np.eye(2)))
+        obj["A"] = {"n": 2, "re": [[1.0]], "im": [[0.0]]}
+        with pytest.raises(ValueError, match="matrix A: shape mismatch"):
+            fio.read_pair(io.StringIO(json.dumps(obj)))
 
     def test_pair_roundtrip(self):
         rng = np.random.default_rng(202)

@@ -68,9 +68,10 @@ class TestEngine:
         for (a1, b1), (a2, b2) in zip(edges, edges[1:]):
             assert b1 == a2
 
-    def test_cap_flags_nonconvergence(self):
+    def test_cap_flags_nonconvergence(self, monkeypatch):
         f = lambda g: np.array(math.sin(1e4 * g * g))
-        res = adaptive_matrix_integral(f, 0.0, 3.0, 1e-13, max_panels=8)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+        res = adaptive_matrix_integral(f, 0.0, 3.0, 1e-13)
         assert not res.converged
 
     def test_invalid_interval(self):
@@ -386,8 +387,7 @@ class TestProofChain:
     def test_capped_tree_is_not_converged(self, monkeypatch):
         rng = np.random.default_rng(145)
         A, B = rand_pd(rng, 4), rand_pd(rng, 4)
-        real = quadrature._adaptive
-        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 2}))
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
         assert not proof_chain_integrals(A, B, 1e-12).converged
 
     def test_runs_on_projections_only(self, monkeypatch):
@@ -740,8 +740,7 @@ class TestDivergenceProbe:
         # log gamma, and on a rotated 2 x 2 pair one Kronrod panel between
         # kinks still meets tol; this pair's form needs more panels.
         A, B = unsupported_pair(np.random.default_rng(162), 6, 2)
-        real = quadrature._adaptive
-        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
         with pytest.raises(ValueError, match="did not converge"):
             divergence_probe(A, B, [10.0, 100.0])
 

@@ -297,8 +297,7 @@ class TestBudgetHead:
 
     def test_unconverged_integral_raises(self, monkeypatch):
         A, B = dominated_pair(16)
-        real = quadrature._adaptive
-        monkeypatch.setattr(quadrature, "_adaptive", lambda *a, **k: real(*a, **{**k, "max_panels": 1}))
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
         with pytest.raises(ValueError, match=r"the (gamma|u) integral did not converge \(error estimate"):
             schatten.budget_e_p(A, B, 2.0, tol=1e-10)
 
