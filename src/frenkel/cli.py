@@ -22,11 +22,13 @@ import numpy as np
 
 from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
-from .io import json_ready, read_pair, write_csv, write_pair
+from .io import json_ready, load_object, read_pair, write_csv, write_pair
 from .linalg import hermitian_part, matrix_log, opnorm, parts, random_unitary, rebuild
-from .quadrature import _scalar_total, divergence_probe, proof_chain_integrals, rhs_frg, rhs_frg1
+from .quadrature import DEFAULT_TOL, _scalar_total, divergence_probe, proof_chain_integrals, rhs_frg, rhs_frg1
 
 COMMANDS = ("gen", "verify", "pencil", "truncate", "probe")
+# The divergence probe's checkpoints in verify's report and probe's default.
+PROBE_CHECKPOINTS = (10.0, 100.0, 1000.0, 10000.0)
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class RunConfig:
     command: str
     seed: int = 0
     dim: int = 4
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     commuting: bool = False
     singular_b: bool = False
     unsupported: bool = False
@@ -77,12 +79,11 @@ def generate_pair(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     a_evs = _spread(rng, n, cond)
     b_evs = _spread(rng, n, cond)
     Ub = U if config.commuting else random_unitary(n, rng)
+    k = max(1, n // 3)  # how many eigenvalues B loses when it is singular
     if config.unsupported:
-        k = max(1, n // 3) if n > 1 else 1
         b_evs[n - k :] = 0.0
         return rebuild(U, a_evs), rebuild(Ub, b_evs)
     if config.singular_b:
-        k = max(1, n // 3) if n > 1 else 0
         b_evs[n - k :] = 0.0
         B = rebuild(Ub, b_evs)
         r = n - k
@@ -300,7 +301,7 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
     pair = prepare_pair(A, B)
     report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
     if not pair.support.holds:
-        record = divergence_probe(A, B, (10.0, 100.0, 1000.0, 10000.0), tol)
+        record = divergence_probe(A, B, PROBE_CHECKPOINTS, tol)
         slope_ok = record.slope >= 0.9 * record.witness_mass
         report["dichotomy"] = "divergent"
         report["witness"] = json_ready(record.witness)
@@ -402,16 +403,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pencil(args) -> int:
     A, B = read_pair(args.input)
-    grid = np.linspace(args.lo, args.hi, args.points)
+    with np.errstate(invalid="ignore"):  # a non-finite end: eigencurves rejects the grid
+        grid = np.linspace(args.lo, args.hi, args.points)
     curves = pencil.eigencurves(A, B, grid)
     pencil.write_eigencurves_csv(args.output, grid, curves)
     return 0
 
 
 def _cmd_truncate(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    model = schatten.model_from_config(cfg)
+    model = schatten.model_from_config(load_object(args.config, "truncate config"))
     T = schatten.synth_compact(model)
     series = schatten.truncation_series(T, model.p)
     schatten.write_series_csv(args.output, series)
@@ -452,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity suite on a pair file")
     v.add_argument("-i", "--input", required=True)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
     v.add_argument("--diagnostics", action="store_true", help="embed quadrature panel logs in the report")
     v.add_argument("-o", "--output", required=True)
     v.set_defaults(func=_cmd_verify)
@@ -472,8 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("probe", help="growth probe for a pair without support containment")
     b.add_argument("-i", "--input", required=True)
-    b.add_argument("--checkpoints", default="10,100,1000,10000")
-    b.add_argument("--tol", type=float, default=1e-8)
+    b.add_argument("--checkpoints", default=",".join(f"{t:g}" for t in PROBE_CHECKPOINTS))
+    b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=_cmd_probe)
     return parser
@@ -485,7 +485,7 @@ def main(argv=None) -> int:
     try:
         _threads()  # a bad FRENKEL_THREADS is a usage error for every command
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"frenkel: error: {exc}", file=sys.stderr)
         return 2
 

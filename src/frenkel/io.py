@@ -3,7 +3,9 @@
 A pair file holds two matrices, each a JSON object {"n": int, "re": n x n,
 "im": n x n}; the writer emits 17 significant digits (exact binary64
 round-trip).  The pair reader symmetrizes both matrices and rejects a
-Hermiticity defect above HERMITICITY_RTOL * max |entry|.
+Hermiticity defect above HERMITICITY_RTOL * max |entry|.  Every JSON input
+of the package is read by load_object, so malformed input is a ValueError
+naming the document and the field.
 """
 
 from __future__ import annotations
@@ -42,10 +44,46 @@ def _open_write(path_or_file, mode="w"):
     return open(path_or_file, mode), True
 
 
-def _stored_matrix(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+def load_object(path_or_file: PathOrFile, document: str) -> dict:
+    """Parse a JSON document whose top level must be an object; document
+    names it in the ValueError raised otherwise."""
+    try:
+        if hasattr(path_or_file, "read"):
+            obj = json.load(path_or_file)
+        else:
+            with open(path_or_file) as fh:
+                obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{document}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{document}: the top level must be a JSON object")
+    return obj
+
+
+def field(obj: dict, key: str):
+    """obj[key], or a ValueError naming the missing field."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return obj[key]
+
+
+def integer_field(obj: dict, key: str) -> int:
+    """field(obj, key), which must be a JSON integer, not a float or a boolean."""
+    value = field(obj, key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _stored_matrix(obj) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError('missing, or not a JSON object {"n", "re", "im"}')
+    n = integer_field(obj, "n")
+    re, im = field(obj, "re"), field(obj, "im")
+    try:
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'re' and 'im' must be n x n arrays of numbers: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"shape mismatch, n={n}, re {re.shape}, im {im.shape}")
     return re + 1j * im
@@ -74,15 +112,11 @@ def read_pair(path_or_file: PathOrFile) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError naming the matrix when one is malformed, non-finite,
     or stored with a Hermiticity defect above HERMITICITY_RTOL * max |entry|.
     """
-    if hasattr(path_or_file, "read"):
-        obj = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            obj = json.load(fh)
+    obj = load_object(path_or_file, "pair file")
     pair = []
     for name in ("A", "B"):
         try:
-            pair.append(as_hermitian(_stored_matrix(obj[name])))
+            pair.append(as_hermitian(_stored_matrix(obj.get(name))))
         except ValueError as exc:
             raise ValueError(f"pair file: matrix {name}: {exc}") from exc
     A, B = pair

@@ -45,6 +45,8 @@ def eigencurves(A: np.ndarray, B: np.ndarray, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("eigencurves: empty grid")
+    if not np.isfinite(grid).all():
+        raise ValueError("eigencurves: the grid must be finite")
     mats = grid[:, None, None] * B[None]
     np.subtract(A, mats, out=mats)  # A - g B in place: one temporary, the same bits
     w = np.linalg.eigvalsh(mats)  # ascending per matrix

@@ -211,7 +211,7 @@ def _adaptive(fv, a: float, b: float, tol: float, kinks=(), initial=None) -> Qua
 
     initial, when given, holds the Kronrod panels of fv on those first
     bounds, computed by the caller (see clipped_integrals).  The tree stops
-    at MAX_PANELS as the module reads when the call runs.
+    at MAX_PANELS panels, the module value read while it runs.
     """
     bounds = _initial_bounds(a, b, kinks)
     if initial is None:

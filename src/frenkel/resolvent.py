@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergence import restrict_pair, embed
 from .linalg import hermitian_part, opnorm, positive_definite_spectrum, range_mask, require_psd
-from .quadrature import QuadratureResult, _adaptive
+from .quadrature import DEFAULT_TOL, QuadratureResult, _adaptive
 
 _S_CUT = 1.0 - 1e-12
 
@@ -56,7 +56,7 @@ def _shifted_inv(B: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.linalg.inv(B[None] + xs[:, None, None] * np.eye(n)[None])
 
 
-def log_resolvent(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def log_resolvent(B: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """log B as integral_0^inf ((1+x)^-1 I - (B + x I)^-1) dx for PD B."""
     B = _check_pd(B, "log_resolvent: B")
     n = B.shape[0]
@@ -68,7 +68,7 @@ def log_resolvent(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return hermitian_part(_halfline(fx, c, tol).value)
 
 
-def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def abs_resolvent(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """|A| as (2/pi) integral_0^inf A^2 (A^2 + x^2 I)^-1 dx for Hermitian A."""
     A = hermitian_part(np.asarray(A, dtype=complex))
     norm_a = opnorm(A)
@@ -83,7 +83,7 @@ def abs_resolvent(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return hermitian_part(_halfline(fx, c, tol).value)
 
 
-def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Derivative of log at B in direction A via the double-resolvent integral
 
         integral_0^inf (B + x I)^-1 A (B + x I)^-1 dx.
@@ -141,7 +141,7 @@ class ProductIntegral:
     error_estimate: float
 
 
-def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> ProductIntegral:
+def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProductIntegral:
     """integral_0^inf B (B + x I)^-1 A (B + x I)^-1 dx with its norm bound.
 
     B may be PSD when ker B annihilates A; the pair is then compressed onto
@@ -208,7 +208,7 @@ class LogChainIntegral:
     error_estimate: float
 
 
-def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> LogChainIntegral:
+def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> LogChainIntegral:
     """integral_0^inf (A (B + x I)^-1 - A (A + x I)^-1) dx for PD A, B."""
     A = _check_pd(A, "alogdiff_integral: A")
     B = _check_pd(B, "alogdiff_integral: B")

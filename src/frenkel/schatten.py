@@ -17,7 +17,7 @@ import numpy as np
 
 from . import frechet
 from .divergence import delta_operator, prepare_pair
-from .io import write_csv
+from .io import field, integer_field, write_csv
 from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
 from .quadrature import U_FLOOR, Clip, Term, _scalar_total, clipped_integrals
 
@@ -358,14 +358,19 @@ def model_from_config(cfg: dict) -> CompactModel:
 
         {"law": "power"|"geom", "param": float, "signs": "pos"|"alt"|"seeded",
          "N": int, "p": float, "seed": int}.
+
+    Raises ValueError, prefixed "truncate config:", when a field is
+    missing or malformed; N and seed must be integers.
     """
-    p = cfg["p"]
-    p = math.inf if p in ("inf", "Infinity") else float(p)
-    return CompactModel(
-        master_dim=int(cfg["N"]),
-        law=str(cfg["law"]),
-        param=float(cfg["param"]),
-        signs=str(cfg["signs"]),
-        rotation_seed=int(cfg["seed"]),
-        p=p,
-    )
+    try:
+        p = field(cfg, "p")
+        return CompactModel(
+            master_dim=integer_field(cfg, "N"),
+            law=str(field(cfg, "law")),
+            param=float(field(cfg, "param")),
+            signs=str(field(cfg, "signs")),
+            rotation_seed=integer_field(cfg, "seed"),
+            p=math.inf if p in ("inf", "Infinity") else float(p),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"truncate config: {exc}") from exc

@@ -14,7 +14,7 @@ import pytest
 
 from frenkel import cli, frechet, linalg, quadrature, workers
 from frenkel.cli import RunConfig, generate_pair, main, run_verification_suite
-from frenkel.io import read_pair, write_pair
+from frenkel.io import pair_json, read_pair, write_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +38,13 @@ class TestGeneratePair:
         assert linalg.support_relation(A, B).holds
         rank = int((np.linalg.eigvalsh(B) > 1e-12 * linalg.opnorm(B)).sum())
         assert rank < 6
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_singular_b_at_small_dims(self, dim):
+        # At dim 1, --singular-b gives A = B = 0.
+        A, B = generate_pair(RunConfig(command="gen", seed=1, dim=dim, singular_b=True))
+        assert not linalg.positive_definite_spectrum(np.linalg.eigvalsh(B))
+        assert linalg.support_relation(A, B).holds
 
     def test_unsupported(self):
         A, B = generate_pair(RunConfig(command="gen", seed=5, dim=6, unsupported=True))
@@ -437,6 +444,15 @@ class TestPencilCommand:
         assert row5[0] == pytest.approx(grid[4])
         assert row5[1:] == pytest.approx(list(curves[:, 4].astype(float)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ends", [("nan", "1"), ("0", "inf"), ("-inf", "inf")])
+    def test_non_finite_grid_exits_two(self, tmp_path, capsys, ends):
+        pair, out = tmp_path / "pair.json", tmp_path / "curves.csv"
+        main(["gen", "--seed", "2", "--dim", "3", "-o", str(pair)])
+        assert main(["pencil", "-i", str(pair), f"--from={ends[0]}", f"--to={ends[1]}", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "frenkel: error: eigencurves: the grid must be finite\n"
+        assert not out.exists()
+
 
 class TestTruncateCommand:
     def test_experiment_runs(self, tmp_path):
@@ -536,6 +552,64 @@ class TestProbeCommand:
         main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
         assert main(["probe", "-i", str(pair), f"--tol={tol}", "-o", str(out)]) == 2
         assert "tol must be in [1e-12, 1e-2]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _pair_text(edit) -> str:
+    """A valid dim-2 pair file, passed through edit(obj) -> obj."""
+    A, B = generate_pair(RunConfig(command="gen", seed=1, dim=2))
+    return json.dumps(edit(json.loads(pair_json(A, B))))
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+MALFORMED_PAIRS = {
+    "not JSON": lambda: "{",
+    "top level an array": lambda: _pair_text(lambda obj: [obj["A"], obj["B"]]),
+    "A a list": lambda: _pair_text(lambda obj: {**obj, "A": obj["A"]["re"]}),
+    "re an object": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "re": {"0": 1.0}}}),
+    "re holds objects": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "re": [[{}, 0.0], [0.0, 1.0]]}}),
+    "B missing": lambda: _pair_text(lambda obj: _without(obj, "B")),
+    "re missing": lambda: _pair_text(lambda obj: {**obj, "B": _without(obj["B"], "re")}),
+    "n a float": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "n": 2.5}}),
+    "n a string": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "n": "2"}}),
+    "n a boolean": lambda: _pair_text(lambda obj: {**obj, "A": {"n": True, "re": [[1.0]], "im": [[0.0]]}}),
+}
+GOOD_CONFIG = {"law": "power", "param": 1.5, "signs": "alt", "N": 16, "p": 2.0, "seed": 7}
+MALFORMED_CONFIGS = {
+    "not JSON": "[",
+    "top level an array": json.dumps([GOOD_CONFIG]),
+    "N missing": json.dumps(_without(GOOD_CONFIG, "N")),
+    "N a float": json.dumps({**GOOD_CONFIG, "N": 8.9}),
+    "N a string": json.dumps({**GOOD_CONFIG, "N": "16"}),
+    "seed a float": json.dumps({**GOOD_CONFIG, "seed": 1.7}),
+    "param a list": json.dumps({**GOOD_CONFIG, "param": [1.5]}),
+}
+
+
+class TestMalformedInput:
+    # Each case exits 2 with one error line naming the document, before any
+    # output file is opened; none raises out of main.
+    @pytest.mark.parametrize("case", list(MALFORMED_PAIRS))
+    @pytest.mark.parametrize("command", ["verify", "probe", "pencil"])
+    def test_pair_file(self, tmp_path, capsys, command, case):
+        pair, out = tmp_path / "pair.json", tmp_path / "out"
+        pair.write_text(MALFORMED_PAIRS[case]())
+        grid = ["--from", "0", "--to", "1"] if command == "pencil" else []
+        assert main([command, "-i", str(pair), *grid, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("frenkel: error: pair file: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+    def test_truncate_config(self, tmp_path, capsys, case):
+        config, out = tmp_path / "exp.json", tmp_path / "series.csv"
+        config.write_text(MALFORMED_CONFIGS[case])
+        assert main(["truncate", "--config", str(config), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("frenkel: error: truncate config: ") and err.count("\n") == 1, err
         assert not out.exists()
 
 

@@ -183,6 +183,18 @@ def _owners(names) -> set:
     return out
 
 
+def test_json_is_parsed_only_in_io():
+    # Every JSON input goes through frenkel.io.load_object, which rejects a
+    # malformed document with a ValueError naming it, so the CLI exits 2.
+    parsers = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json"
+    }
+    assert parsers == {"io"}
+
+
 def test_one_clipped_pencil_core():
     # Every clipped-pencil integral goes through quadrature.clipped_integrals,
     # and quadrature._form_domain owns each form's coordinate, domain, kinks
