@@ -5,13 +5,12 @@ Principal-block truncations interlace, so the Schatten norms of the
 positive and negative parts grow monotonically to their master values; the
 blockwise divergence converges to the master-level one; the integral budget
 is insensitive to dimension doubling once one operand dominates the other
-uniformly.  The final probe tracks the truncated product B_n dlog(B_n, A_n),
-whose convergence is recorded as data only.
+uniformly.
 """
 
 import numpy as np
 
-from frenkel import CompactModel, budget_e_p, problem1_probe, synth_compact, theorem3_convergence, truncation_series
+from frenkel import CompactModel, budget_e_p, synth_compact, theorem3_convergence, truncation_series
 
 model = CompactModel(master_dim=64, law="power", param=1.5, signs="seeded", rotation_seed=7, p=2.0)
 T = synth_compact(model)
@@ -39,8 +38,3 @@ e64 = budget_e_p(*dominated(64), 2.0, tol=1e-7)
 e128 = budget_e_p(*dominated(128), 2.0, tol=1e-7)
 print(f"\nintegral budget under dimension doubling (dominated pair): "
       f"e(64) = {e64:.9f}, e(128) = {e128:.9f}, relative drift {abs(e128 - e64) / e64:.2e}")
-
-probe = problem1_probe(mA, mB)
-print("\ntruncated product B_n dlog(B_n, A_n) against the master product (data only):")
-for k, n in enumerate(probe.ns):
-    print(f"  n = {n:3d}: p-norm gap {probe.p_gap[k]:.3e}   strong-sample gap {probe.strong_gap[k]:.3e}")

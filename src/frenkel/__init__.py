@@ -71,7 +71,6 @@ from .schatten import (
     CompactModel,
     TruncationSeries,
     budget_e_p,
-    problem1_probe,
     synth_compact,
     theorem3_convergence,
     truncate,
@@ -128,7 +127,6 @@ __all__ = [
     "opnorm",
     "parts",
     "positive_part",
-    "problem1_probe",
     "proof_chain_integrals",
     "psd_order",
     "random_unitary",

@@ -23,7 +23,7 @@ import numpy as np
 from . import frechet, pencil, resolvent, schatten, workers
 from .divergence import DELTA_PSD_SLACK, PreparedPair, _block_chain, delta_operator, embed, prepare_pair
 from .io import json_ready, load_object, read_pair, write_csv, write_pair
-from .linalg import hermitian_part, matrix_log, opnorm, parts, random_unitary, rebuild
+from .linalg import hermitian_part, log_of, opnorm, parts, random_unitary, rebuild
 from .quadrature import DEFAULT_TOL, _scalar_total, divergence_probe, proof_chain_integrals, rhs_frg, rhs_frg1
 
 COMMANDS = ("gen", "verify", "pencil", "truncate", "probe")
@@ -129,7 +129,7 @@ def _suite_routes(pair: PreparedPair, tol: float) -> dict:
     A, B = pair.A, pair.B
     b_pd, both_pd = _definiteness(pair)
     if both_pd:
-        routes = {"proof_chain_integrals": (partial(proof_chain_integrals, forms=True), A, B, tol)}
+        routes = {"proof_chain_integrals": (proof_chain_integrals, A, B, tol)}
     else:
         routes = {"rhs_frg1": (partial(rhs_frg1, trace=True), A, B, tol)}
     routes["rhs_frg"] = (partial(rhs_frg, trace=True), A, B, tol)
@@ -143,7 +143,10 @@ def _suite_routes(pair: PreparedPair, tol: float) -> dict:
 def _gamma_form(pair: PreparedPair, route) -> tuple:
     """(rhs_frg1's result, the trace's u part), from the route of the gamma
     and u nodes in _suite_routes."""
-    return route("proof_chain_integrals")[1:] if _definiteness(pair)[1] else route("rhs_frg1")
+    if not _definiteness(pair)[1]:
+        return route("rhs_frg1")
+    pc = route("proof_chain_integrals")
+    return pc.gamma_form, pc.trace_u
 
 
 def _suite_items(pair: PreparedPair, tol: float, route):
@@ -192,20 +195,18 @@ def _suite_items(pair: PreparedPair, tol: float, route):
         return {"residual": r2, "threshold": 1e-10}
 
     def chain_identity():
-        pc, u, _ = route("proof_chain_integrals")
-        return {"residual": float(np.linalg.norm(u.value + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
+        pc = route("proof_chain_integrals")
+        return {"residual": float(np.linalg.norm(pc.gamma_form.value + pc.v - pc.w - pc.chain, 2)), "threshold": 10 * tol}
 
     def log_difference_representation():
-        pc = route("proof_chain_integrals")[0]
-        return {"residual": pc.residual_log_difference, "threshold": 10 * tol}
+        return {"residual": route("proof_chain_integrals").residual_log_difference, "threshold": 10 * tol}
 
     def dlog_representation():
-        pc = route("proof_chain_integrals")[0]
-        return {"residual": pc.residual_dlog_representation, "threshold": 10 * tol}
+        return {"residual": route("proof_chain_integrals").residual_dlog_representation, "threshold": 10 * tol}
 
     def log_resolvent_oracle():
         return {
-            "residual": float(np.linalg.norm(resolvent.log_resolvent(B, tol) - matrix_log(B), 2)),
+            "residual": float(np.linalg.norm(resolvent.log_resolvent(B, tol) - log_of(pair.b1_decomposition), 2)),
             "threshold": 1e-6,
         }
 
@@ -236,7 +237,7 @@ def _suite_items(pair: PreparedPair, tol: float, route):
 
     def alogdiff_oracle():
         li = resolvent.alogdiff_integral(A, B, tol)
-        target = _block_chain(A, B)
+        target = _block_chain(pair)
         residual = float(np.linalg.norm(li.value - target, 2))
         excess = 0.0
         if li.within_a is not None and not li.within_a:

@@ -20,6 +20,8 @@ from . import frechet
 from .linalg import (
     PsdOrderVerdict,
     SpectralDecomposition,
+    as_hermitian,
+    check_psd,
     eig_hermitian,
     hermitian_part,
     log_of,
@@ -129,8 +131,8 @@ class PreparedPair:
     support is the range(A) in range(B) verdict, with its witness on
     failure.  When it holds, (V, A1, B1) is restrict_pair(A, B) and b1_eigh
     the ascending eigh of B1, the eigh of B itself when B has full rank;
-    otherwise all four are None.  sigma and a_definite are computed on
-    first use.
+    otherwise all four are None.  Each cached property is computed on first
+    use; two threads that both read it first compute the same bits.
     """
 
     A: np.ndarray
@@ -152,6 +154,11 @@ class PreparedPair:
         return positive_definite_spectrum(np.linalg.eigvalsh(self.A))
 
     @cached_property
+    def a1_decomposition(self) -> SpectralDecomposition:
+        """eig_hermitian(A1)."""
+        return eig_hermitian(self.A1)
+
+    @cached_property
     def b1_decomposition(self) -> SpectralDecomposition:
         """eig_hermitian(B1)."""
         w, U = self.b1_eigh
@@ -159,13 +166,14 @@ class PreparedPair:
 
 
 def prepare_pair(A: np.ndarray, B: np.ndarray) -> PreparedPair:
-    """Validate each operand once, then take the support verdict and the
-    restriction to range(B) from a single eigh of B."""
+    """Validate each operand, then take B's PSD check, the support verdict
+    and the restriction to range(B) from a single eigh of B."""
     A = require_psd(A, "A")
-    B = require_psd(B, "B")
+    B = as_hermitian(B)
+    w, U = np.linalg.eigh(B)
+    check_psd(w, "B")
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch {A.shape} vs {B.shape}")
-    w, U = np.linalg.eigh(B)
     support = support_in_eigenbasis(A, w, U)
     if not support.holds:
         return PreparedPair(A, B, support)
@@ -186,21 +194,20 @@ def _xlogx(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def _block_chain(A1: np.ndarray, B1: np.ndarray, b1_dec: Optional[SpectralDecomposition] = None) -> np.ndarray:
-    """A1(log A1 - log B1) on a block where B1 is PD.
+def _block_chain(pair: PreparedPair) -> np.ndarray:
+    """A1(log A1 - log B1) of a pair with support containment (B1 is PD).
 
     A1 log A1 goes through the spectral convention 0 log 0 = 0 (eigenvalues
     of A1 inside the zero band are treated as exact zeros); A1 log B1 is an
-    ordinary product, taken from b1_dec, the decomposition of B1, when the
-    caller has it.
+    ordinary product.
     """
-    dec = eig_hermitian(A1)
+    dec = pair.a1_decomposition
     w = dec.eigenvalues
     w = np.where(range_mask(np.abs(w)), w, 0.0)
     if w.min(initial=0.0) < 0:
         raise ValueError(f"divergence: A not PSD on the range(B) block (eigenvalue {w.min():.6e})")
     a_log_a = rebuild(dec.eigenvectors, np.array([_xlogx(x) for x in w]))
-    return a_log_a - A1 @ log_of(eig_hermitian(B1) if b1_dec is None else b1_dec)
+    return a_log_a - pair.A1 @ log_of(pair.b1_decomposition)
 
 
 def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
@@ -217,7 +224,7 @@ def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
         )
     n = pair.A.shape[0]
     V, A1, B1 = pair.V, pair.A1, pair.B1
-    chain = _block_chain(A1, B1, pair.b1_decomposition)
+    chain = _block_chain(pair)
     delta1 = hermitian_part(chain - B1 @ frechet.dlog_in(pair.b1_decomposition, A1) + B1)
     trace_div = float(np.trace(chain).real - np.trace(A1).real + np.trace(B1).real)
     residual = abs(float(np.trace(delta1).real) - trace_div)
@@ -240,5 +247,5 @@ def trace_divergence(A: np.ndarray, B: np.ndarray) -> float:
     pair = prepare_pair(A, B)
     if not pair.support.holds:
         return math.inf
-    chain = _block_chain(pair.A1, pair.B1, pair.b1_decomposition)
+    chain = _block_chain(pair)
     return float(np.trace(chain).real - np.trace(pair.A1).real + np.trace(pair.B1).real)

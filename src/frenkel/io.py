@@ -75,15 +75,41 @@ def integer_field(obj: dict, key: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_field(obj: dict, key: str) -> float:
+    """field(obj, key), which must be a JSON number, not a string or a boolean."""
+    value = field(obj, key)
+    if not _is_number(value):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_array(obj: dict, key: str) -> np.ndarray:
+    """field(obj, key) as a float array, where every entry of the nested
+    lists must be a JSON number."""
+    value = field(obj, key)
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif not _is_number(x):
+            raise ValueError(f"{key!r} must be an n x n array of numbers, got the entry {x!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{key!r} must be an n x n array of numbers: {exc}") from exc
+
+
 def _stored_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError('missing, or not a JSON object {"n", "re", "im"}')
     n = integer_field(obj, "n")
-    re, im = field(obj, "re"), field(obj, "im")
-    try:
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'re' and 'im' must be n x n arrays of numbers: {exc}") from exc
+    re, im = _number_array(obj, "re"), _number_array(obj, "im")
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"shape mismatch, n={n}, re {re.shape}, im {im.shape}")
     return re + 1j * im

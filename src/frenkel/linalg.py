@@ -217,11 +217,16 @@ class PsdOrderVerdict:
     witness: Optional[np.ndarray] = None
 
 
-def require_psd(T: np.ndarray, name: str = "matrix") -> np.ndarray:
-    T = as_hermitian(T)
-    w = np.linalg.eigvalsh(T)
+def check_psd(w: np.ndarray, name: str) -> None:
+    """The package's one PSD test on a Hermitian spectrum: raise unless its
+    smallest eigenvalue is at least -PSD_SLACK times its largest magnitude."""
     if not w.min() >= -PSD_SLACK * np.abs(w).max():
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.6e})")
+
+
+def require_psd(T: np.ndarray, name: str = "matrix") -> np.ndarray:
+    T = as_hermitian(T)
+    check_psd(np.linalg.eigvalsh(T), name)
     return T
 
 

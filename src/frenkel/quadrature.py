@@ -29,7 +29,6 @@ from .divergence import (
 )
 from . import frechet, workers
 from .linalg import (
-    eig_hermitian,
     hermitian_part,
     log_of,
     positive_definite_spectrum,
@@ -577,7 +576,8 @@ class ProofChainIntegrals:
     projection integral, and the derivative of log at A in direction B as
     integral_0^inf {B - gamma A > 0}).  evaluations counts the nodes of the
     chain's three panel trees, converged ANDs their flags (an empty domain
-    counts as converged).
+    counts as converged).  gamma_form is rhs_frg1's result and trace_u
+    frenkel_trace's u part (None on an empty domain), on the chain's nodes.
     """
 
     v: np.ndarray
@@ -587,9 +587,11 @@ class ProofChainIntegrals:
     residual_dlog_representation: float
     evaluations: int
     converged: bool
+    gamma_form: QuadratureResult
+    trace_u: Optional[QuadratureResult]
 
 
-def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, forms: bool = False):
+def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProofChainIntegrals:
     """Evaluate the integrals behind the divergence identity for PD A, B.
 
     Every integral is a projection integral of the gamma form on
@@ -610,17 +612,14 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     gamma[B P, P/gamma, P/gamma^2], u[B P, P/u] and u[P/u^2].  The last,
     about 1/sigma_min in size, hits MAX_PANELS first, so it runs alone: a
     capped tree leaves every term on it unconverged.  The two u trees share
-    their initial panels (see clipped_integrals).
-
-    forms: also integrate rhs_frg1's two terms and frenkel_trace's u part
-    on the initial nodes of the gamma and u trees, and return (chain,
-    rhs_frg1's result, that part).
+    their initial panels (see clipped_integrals).  rhs_frg1's two terms and
+    frenkel_trace's u part share the initial nodes of the gamma and u trees.
     """
     pair = prepare_pair(A, B)
     if not pair.support.holds or pair.V is not None:
         raise ValueError("proof_chain_integrals: B must be positive definite")
     A, B = pair.A, pair.B
-    dec_a = eig_hermitian(A)
+    dec_a = pair.a1_decomposition
     if not positive_definite_spectrum(dec_a.eigenvalues):
         raise ValueError("proof_chain_integrals: A must be positive definite")
 
@@ -630,14 +629,8 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
 
         return Term(PROJECTOR, weight, tol / 2)
 
-    gamma_terms = [chain_term(1, 2)]
-    u_terms = [chain_term(1), chain_term(2, b_proj=False)]
-    if forms:
-        gamma_terms += _divergence_terms("gamma", tol)
-        u_terms += _divergence_terms("u", tol, trace=True)
-    g = clipped_integrals(pair, "gamma", gamma_terms)
-    u = clipped_integrals(pair, "u", u_terms)
-    results = [g[0], u[0], u[1]]
+    g = clipped_integrals(pair, "gamma", [chain_term(1, 2)] + _divergence_terms("gamma", tol))
+    u = clipped_integrals(pair, "u", [chain_term(1), chain_term(2, b_proj=False)] + _divergence_terms("u", tol, trace=True))
 
     def value(r, k):
         return np.zeros((k,) + A.shape, dtype=complex) if r is None else r.value
@@ -652,17 +645,18 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     dlog = hermitian_part(np.eye(A.shape[0]) - g_over2 + u_over2)
     residual_dlog = float(np.linalg.norm(dlog - frechet.dlog_in(dec_a, B), 2))
 
-    done = [r for r in results if r is not None]
-    pc = ProofChainIntegrals(
+    done = [r for r in (g[0], u[0], u[1]) if r is not None]
+    return ProofChainIntegrals(
         v=v,
         w=w,
-        chain=_block_chain(A, B, pair.b1_decomposition),
+        chain=_block_chain(pair),
         residual_log_difference=residual_log,
         residual_dlog_representation=residual_dlog,
         evaluations=sum(r.evaluations for r in done),
         converged=all(r.converged for r in done),
+        gamma_form=_rhs_frg1_result(pair, g[1], u[2]),
+        trace_u=u[3],
     )
-    return (pc, _rhs_frg1_result(pair, g[1], u[2]), u[3]) if forms else pc
 
 
 @dataclass(frozen=True)

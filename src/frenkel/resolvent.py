@@ -43,12 +43,13 @@ def _x_cut(c: float) -> float:
     return c * _S_CUT / (1.0 - _S_CUT)
 
 
-def _check_pd(B: np.ndarray, name: str) -> np.ndarray:
+def _check_pd(B: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """(Hermitian part of B, its operator norm), from the one eigvalsh that checks B is PD."""
     B = hermitian_part(np.asarray(B, dtype=complex))
     w = np.linalg.eigvalsh(B)
     if not positive_definite_spectrum(w):
         raise ValueError(f"{name} must be positive definite (min eigenvalue {w.min():.6e})")
-    return B
+    return B, float(np.abs(w).max())
 
 
 def _shifted_inv(B: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -58,9 +59,9 @@ def _shifted_inv(B: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def log_resolvent(B: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """log B as integral_0^inf ((1+x)^-1 I - (B + x I)^-1) dx for PD B."""
-    B = _check_pd(B, "log_resolvent: B")
+    B, norm_b = _check_pd(B, "log_resolvent: B")
     n = B.shape[0]
-    c = max(opnorm(B), 1.0)
+    c = max(norm_b, 1.0)
 
     def fx(xs):
         return np.eye(n)[None] / (1.0 + xs)[:, None, None] - _shifted_inv(B, xs)
@@ -88,9 +89,9 @@ def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = DEFAULT_TOL) -> np
 
         integral_0^inf (B + x I)^-1 A (B + x I)^-1 dx.
     """
-    B = _check_pd(B, "dlog_resolvent: B")
+    B, norm_b = _check_pd(B, "dlog_resolvent: B")
     A = np.asarray(A, dtype=complex)
-    c = max(opnorm(A), opnorm(B), 1.0)
+    c = max(opnorm(A), norm_b, 1.0)
 
     def fx(xs):
         R = _shifted_inv(B, xs)
@@ -115,13 +116,15 @@ class DominationConstants:
 
 def domination_constants(A: np.ndarray, B: np.ndarray) -> DominationConstants:
     A = hermitian_part(np.asarray(A, dtype=complex))
-    B = _check_pd(B, "domination_constants: B")
-    Binv = np.linalg.inv(B)
-    alpha = _spectral_norm(A @ Binv)
-    wA = np.linalg.eigvalsh(A)
-    invertible = range_mask(np.abs(wA)).all()
+    B, _ = _check_pd(B, "domination_constants: B")
+    return _domination(A, B, range_mask(np.abs(np.linalg.eigvalsh(A))).all())
+
+
+def _domination(A: np.ndarray, B: np.ndarray, a_invertible: bool) -> DominationConstants:
+    """domination_constants of Hermitian A and validated PD B, given whether A is invertible."""
+    alpha = _spectral_norm(A @ np.linalg.inv(B))
     beta_a = beta_b = None
-    if invertible:
+    if a_invertible:
         Ainv = np.linalg.inv(A)
         beta_a = _spectral_norm(B @ Ainv)
         beta_b = _spectral_norm((A - B) @ Ainv)
@@ -160,10 +163,10 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Pro
         return ProductIntegral(
             value=np.zeros_like(A), value_norm=0.0, alpha=0.0, bound=0.0, within_bound=True, tail_bound=0.0, error_estimate=0.0
         )
-    B1 = _check_pd(B1, "bdlog_product: B on range(B)")
-    consts = domination_constants(A1, B1)
-    norm_b = opnorm(B1)
-    c = max(opnorm(A1), norm_b, 1.0)
+    B1, norm_b = _check_pd(B1, "bdlog_product: B on range(B)")
+    wA = np.linalg.eigvalsh(A1)
+    consts = _domination(A1, B1, range_mask(np.abs(wA)).all())
+    c = max(float(np.abs(wA).max()), norm_b, 1.0)
 
     def fx(xs):
         R = _shifted_inv(B1, xs)
@@ -210,12 +213,11 @@ class LogChainIntegral:
 
 def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> LogChainIntegral:
     """integral_0^inf (A (B + x I)^-1 - A (A + x I)^-1) dx for PD A, B."""
-    A = _check_pd(A, "alogdiff_integral: A")
-    B = _check_pd(B, "alogdiff_integral: B")
+    A, norm_a = _check_pd(A, "alogdiff_integral: A")
+    B, norm_b = _check_pd(B, "alogdiff_integral: B")
     if A.shape != B.shape:
         raise ValueError("alogdiff_integral: dimension mismatch")
-    consts = domination_constants(A, B)
-    norm_a, norm_b = opnorm(A), opnorm(B)
+    consts = _domination(A, B, True)  # A is positive definite
     c = max(norm_a, norm_b, 1.0)
 
     def fx(xs):

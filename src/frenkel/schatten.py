@@ -4,8 +4,7 @@ A CompactModel realizes a self-adjoint operator with a prescribed decaying
 spectrum as a dense rotated matrix; truncation takes leading principal
 blocks, which after the seeded rotation are genuine coordinate compressions
 in general position with the operator.  The series and records collected
-here back the monotonicity, interlacing and convergence checks and the
-(unasserted) product-convergence probe.
+here back the monotonicity, interlacing and convergence checks.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frechet
 from .divergence import delta_operator, prepare_pair
-from .io import field, integer_field, write_csv
+from .io import field, integer_field, number_field, write_csv
 from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
 from .quadrature import U_FLOOR, Clip, Term, _scalar_total, clipped_integrals
 
@@ -318,41 +316,6 @@ def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float)
     return ConvergenceRecord(p=p, ns=ns, op_gap=op_gap, p_gap=p_gap, strong_gap=strong)
 
 
-@dataclass(frozen=True)
-class ProductConvergenceProbe:
-    """Distances of the truncated product B_n dlog(B_n, A_n) to the master one.
-
-    Emitted as evidence only; no convergence claim is asserted for this
-    sequence.
-    """
-
-    ns: np.ndarray
-    p: float
-    p_gap: np.ndarray
-    strong_gap: np.ndarray
-
-
-def problem1_probe(A_model: CompactModel, B_model: CompactModel) -> ProductConvergenceProbe:
-    A, B = _master_pair(A_model, B_model)
-    N = A.shape[0]
-    master = B @ frechet.dlog(B, A)
-    X = _sample_block(N, 22)
-    p = A_model.p
-    ns = _power_of_two_grid(N)
-    p_gap = np.empty(ns.size)
-    strong = np.empty(ns.size)
-    for k, n in enumerate(ns):
-        Ab, Bb = A[:n, :n], B[:n, :n]
-        blk = Bb @ frechet.dlog(Bb, Ab)
-        emb = np.zeros_like(A)
-        emb[:n, :n] = blk
-        diff = emb - master
-        sv = np.linalg.svd(diff, compute_uv=False)
-        p_gap[k] = float(sv.max()) if math.isinf(p) else float((sv**p).sum() ** (1 / p))
-        strong[k] = float(np.linalg.norm(diff @ X, axis=0).max())
-    return ProductConvergenceProbe(ns=ns, p=p, p_gap=p_gap, strong_gap=strong)
-
-
 def model_from_config(cfg: dict) -> CompactModel:
     """Build a model from the experiment config mapping
 
@@ -360,17 +323,17 @@ def model_from_config(cfg: dict) -> CompactModel:
          "N": int, "p": float, "seed": int}.
 
     Raises ValueError, prefixed "truncate config:", when a field is
-    missing or malformed; N and seed must be integers.
+    missing or malformed; N and seed must be integers, param a number and p
+    a number or "inf" ("Infinity"), where a boolean is not a number.
     """
     try:
-        p = field(cfg, "p")
         return CompactModel(
             master_dim=integer_field(cfg, "N"),
             law=str(field(cfg, "law")),
-            param=float(field(cfg, "param")),
+            param=number_field(cfg, "param"),
             signs=str(field(cfg, "signs")),
             rotation_seed=integer_field(cfg, "seed"),
-            p=math.inf if p in ("inf", "Infinity") else float(p),
+            p=math.inf if field(cfg, "p") in ("inf", "Infinity") else number_field(cfg, "p"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"truncate config: {exc}") from exc

@@ -15,7 +15,7 @@ import pytest
 
 from frenkel import frechet, linalg, pencil, resolvent, schatten
 from frenkel.cli import main
-from frenkel.divergence import _block_chain, delta_operator
+from frenkel.divergence import _block_chain, delta_operator, prepare_pair
 from frenkel.quadrature import divergence_probe, frenkel_trace, rhs_frg, rhs_frg1
 from frenkel.schatten import CompactModel
 from util import rand_herm, rand_pd, supported_singular_pair, unsupported_pair
@@ -156,7 +156,7 @@ def test_criterion_05_oracle_agreement():
         bounds_ok = bounds_ok and pr.within_bound
         li = resolvent.alogdiff_integral(A, B, QUAD_TOL)
         worst["alogdiff"] = max(
-            worst["alogdiff"], float(np.linalg.norm(li.value - _block_chain(A, B), 2))
+            worst["alogdiff"], float(np.linalg.norm(li.value - _block_chain(prepare_pair(A, B)), 2))
         )
         if li.within_a is not None:
             bounds_ok = bounds_ok and li.within_a

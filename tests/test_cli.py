@@ -344,7 +344,7 @@ class TestSharedRoutes:
             # dlog(B, A) is shared with bdlog_product_oracle on a full-rank B.
             "pd": {
                 "delta_operator": 1,
-                "proof_chain_integrals(forms)": 1,
+                "proof_chain_integrals": 1,
                 "rhs_frg(trace)": 1,
                 "trace_pairing_check": 1,
                 "dlog": 1,
@@ -576,6 +576,12 @@ MALFORMED_PAIRS = {
     "n a float": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "n": 2.5}}),
     "n a string": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "n": "2"}}),
     "n a boolean": lambda: _pair_text(lambda obj: {**obj, "A": {"n": True, "re": [[1.0]], "im": [[0.0]]}}),
+    # JSON booleans and numeric strings are not numbers, though float() takes them.
+    "re holds a boolean": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "re": [[True, 0.0], [0.0, 1.0]]}}),
+    "re holds a numeric string": lambda: _pair_text(lambda obj: {**obj, "B": {**obj["B"], "re": [["2.5", 0.0], [0.0, 1.0]]}}),
+    "im holds a boolean": lambda: _pair_text(lambda obj: {**obj, "B": {**obj["B"], "im": [[False, 0.0], [0.0, False]]}}),
+    "re ragged": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "re": [[1.0, 0.0], [0.0]]}}),
+    "re beyond float": lambda: _pair_text(lambda obj: {**obj, "A": {**obj["A"], "re": [[10**400, 0.0], [0.0, 1.0]]}}),
 }
 GOOD_CONFIG = {"law": "power", "param": 1.5, "signs": "alt", "N": 16, "p": 2.0, "seed": 7}
 MALFORMED_CONFIGS = {
@@ -586,6 +592,11 @@ MALFORMED_CONFIGS = {
     "N a string": json.dumps({**GOOD_CONFIG, "N": "16"}),
     "seed a float": json.dumps({**GOOD_CONFIG, "seed": 1.7}),
     "param a list": json.dumps({**GOOD_CONFIG, "param": [1.5]}),
+    "param a boolean": json.dumps({**GOOD_CONFIG, "param": True}),
+    "param a numeric string": json.dumps({**GOOD_CONFIG, "param": "1.5"}),
+    "param beyond float": json.dumps({**GOOD_CONFIG, "param": 10**400}),
+    "p a boolean": json.dumps({**GOOD_CONFIG, "p": True}),
+    "p a numeric string": json.dumps({**GOOD_CONFIG, "p": "2"}),
 }
 
 

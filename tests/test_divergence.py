@@ -6,7 +6,7 @@ import pytest
 
 from frenkel import divergence, frechet, linalg, quadrature, resolvent, schatten
 from frenkel.divergence import delta_operator, o_gamma, prepare_pair, trace_divergence
-from util import rand_pd, rand_psd, supported_singular_pair, unsupported_pair
+from util import count_lapack_on, rand_pd, rand_psd, supported_singular_pair, unsupported_pair
 
 
 class TestOGamma:
@@ -190,8 +190,9 @@ def test_zero_pair_routes_return_zero(name):
 
 
 def _count_setup(monkeypatch, B):
-    """Count require_psd calls, and the eigh/eigvalsh calls that get B itself."""
-    calls = {"require_psd": 0, "lapack_on_b": 0}
+    """Count require_psd calls, and (count_lapack_on) the eigh/eigvalsh calls
+    that get B itself."""
+    calls = {"require_psd": 0}
     real_require = linalg.require_psd
 
     def require(*args, **kwargs):
@@ -201,17 +202,7 @@ def _count_setup(monkeypatch, B):
     for name, module in list(sys.modules.items()):
         if name.startswith("frenkel") and getattr(module, "require_psd", None) is real_require:
             monkeypatch.setattr(module, "require_psd", require)
-    b_bytes = B.tobytes()
-    for fname in ("eigh", "eigvalsh"):
-
-        def lapack(M, *args, _real=getattr(np.linalg, fname), **kwargs):
-            M_arr = np.asarray(M)
-            if M_arr.shape == B.shape and M_arr.dtype == B.dtype and M_arr.tobytes() == b_bytes:
-                calls["lapack_on_b"] += 1
-            return _real(M, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, fname, lapack)
-    return calls
+    return calls, count_lapack_on(monkeypatch, B)
 
 
 class TestPreparedPair:
@@ -223,15 +214,41 @@ class TestPreparedPair:
             A, B = rand_pd(rng, 8), rand_pd(rng, 8)
         else:
             A, B = supported_singular_pair(rng, 8, corank=2)
-        calls = _count_setup(monkeypatch, B)
+        calls, lapack_on_b = _count_setup(monkeypatch, B)
         for name, route in ROUTES.items():
             if kind == "singular_b" and name == "proof_chain_integrals":
                 continue
-            calls.update(require_psd=0, lapack_on_b=0)
+            calls.update(require_psd=0)
+            lapack_on_b.clear()
             route(A, B)
-            # One validation per operand; B reaches LAPACK once for the PSD
-            # check (eigvalsh) and once for support and restriction (eigh).
-            assert calls == {"require_psd": 2, "lapack_on_b": 2}, name
+            # require_psd validates A; B reaches LAPACK once, in the eigh that
+            # gives its PSD check, the support verdict and the restriction.
+            assert (calls["require_psd"], dict(lapack_on_b)) == (1, {("eigh", 0): 1}), name
+
+    def test_chain_decomposes_a_once(self, monkeypatch):
+        # proof_chain_integrals reads A's decomposition from the prepared
+        # pair, as the chain A(log A - log B) does.
+        rng = np.random.default_rng(88)
+        A, B = rand_pd(rng, 6), rand_pd(rng, 6)
+        lapack = count_lapack_on(monkeypatch, A)
+        quadrature.proof_chain_integrals(A, B, 1e-8)
+        assert lapack["eigh", 0] == 1
+
+    def test_b_fails_validation_on_its_eigh(self):
+        # B's PSD check reads the eigh that prepare_pair takes anyway, and
+        # the checks keep their order: A, then B, then the shapes.
+        rng = np.random.default_rng(89)
+        P, N = rand_pd(rng, 3), -rand_pd(rng, 3)
+        w = np.linalg.eigh(N)[0]
+        with pytest.raises(ValueError) as exc:
+            prepare_pair(P, N)
+        assert str(exc.value) == f"B is not positive semidefinite (min eigenvalue {w.min():.6e})"
+        with pytest.raises(ValueError, match="^A is not positive semidefinite"):
+            prepare_pair(N, N)
+        with pytest.raises(ValueError, match="^B is not positive semidefinite"):
+            prepare_pair(P, -rand_pd(rng, 4))
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            prepare_pair(P, rand_pd(rng, 4))
 
     def test_matches_the_standalone_steps(self):
         rng = np.random.default_rng(86)

@@ -296,11 +296,11 @@ class TestProofChain:
         assert _chain_residual(pc, A, B, tol) <= 10 * tol
 
     def test_one_projector_per_node(self, monkeypatch):
-        # Three panel trees, gamma[B P, P/g, P/g^2], u[B P, P/u] and u[P/u^2];
-        # with forms, rhs_frg1's two terms and the trace's u part join them.
-        # Each form's initial nodes get one eigh and one projector, whatever
-        # number of terms share them; each refinement node gets one
-        # decomposition by its own tree's kernel.
+        # Three panel trees, gamma[B P, P/g, P/g^2], u[B P, P/u] and u[P/u^2],
+        # joined by rhs_frg1's two terms and the trace's u part.  Each form's
+        # initial nodes get one eigh and one projector, whatever number of
+        # terms share them; each refinement node gets one decomposition by
+        # its own tree's kernel.
         rng = np.random.default_rng(144)
         tol = 1e-8
         while True:
@@ -318,12 +318,10 @@ class TestProofChain:
             for form in ("gamma", "u")
             for name, f in (("bp", b_proj), ("over", over(1)), ("over2", over(2)))
         }
-        for forms in (False, True):
-            with monkeypatch.context() as m:
-                self.check_projectors(m, pair, ref, forms, tol)
+        self.check_projectors(monkeypatch, pair, ref, tol)
 
     @staticmethod
-    def check_projectors(m, pair, ref, forms, tol):
+    def check_projectors(m, pair, ref, tol):
         A, B = pair.A, pair.B
         forms_called, trees, counts = [], [], Counter()
         real_integrals, real_adaptive = quadrature.clipped_integrals, quadrature._adaptive
@@ -352,26 +350,17 @@ class TestProofChain:
         m.setattr(quadrature, "positive_projector_of", counting("projector", quadrature.positive_projector_of, 2))
         for name in ("eigh", "eigvalsh"):
             m.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), 3))
-        out = proof_chain_integrals(A, B, tol, forms=forms)
-        pc = out[0] if forms else out
-        # trees: gamma[chain(, rhs_frg1)], then u[chain, chain(, rhs_frg1, trace)]
-        if forms:
-            assert forms_called == [("gamma", 2), ("u", 4)]
-            kinds = ["proj", "part", "proj", "proj", "part", "trace"]
-        else:
-            assert forms_called == [("gamma", 1), ("u", 2)]
-            kinds = ["proj", "proj", "proj"]
+        pc = proof_chain_integrals(A, B, tol)
+        # trees: gamma[chain, rhs_frg1], then u[chain, chain, rhs_frg1, trace]
+        assert forms_called == [("gamma", 2), ("u", 4)]
+        kinds = ["proj", "part", "proj", "proj", "part", "trace"]
         assert len(trees) == len(kinds)
         refined = Counter()
         for kind, (_, extra) in zip(kinds, trees):
             refined[kind] += extra
-        gamma_nodes = trees[0][0]
-        u_nodes = trees[2 if forms else 1][0]
-        shared_nodes = u_nodes + (gamma_nodes if forms else 0)
-        # The standalone gamma tree, one term, decomposes its initial nodes itself.
-        own_nodes = 0 if forms else gamma_nodes
-        assert counts["eigh"] == shared_nodes + own_nodes + refined["proj"] + refined["part"]
-        assert counts["projector"] == shared_nodes + own_nodes + refined["proj"]
+        shared_nodes = trees[0][0] + trees[2][0]
+        assert counts["eigh"] == shared_nodes + refined["proj"] + refined["part"]
+        assert counts["projector"] == shared_nodes + refined["proj"]
         assert counts["eigvalsh"] == refined["trace"]
         assert pc.evaluations == sum(initial + extra for (initial, extra), kind in zip(trees, kinds) if kind == "proj")
         assert pc.converged
@@ -391,24 +380,25 @@ class TestProofChain:
         assert not proof_chain_integrals(A, B, 1e-12).converged
 
     def test_runs_on_projections_only(self, monkeypatch):
-        # Every chain integral is a projection integral: u, the one integral
-        # of positive parts, comes from rhs_frg1.
-        calls = []
-        real = linalg.positive_part_stack
+        # Every chain integral is a projection integral.  The positive parts
+        # and the trace on the chain's nodes are rhs_frg1's two terms and the
+        # trace's u part, and u, the one integral of positive parts, is
+        # rhs_frg1's result.
+        clips = []
+        real = quadrature.clipped_integrals
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(pair, form, terms, head=0.0):
+            clips.append([term.clip for term in terms])
+            return real(pair, form, terms, head)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("frenkel") and getattr(module, "positive_part_stack", None) is real:
-                monkeypatch.setattr(module, "positive_part_stack", counting)
         rng = np.random.default_rng(143)
         A, B = rand_pd(rng, 4), rand_pd(rng, 4)
-        proof_chain_integrals(A, B, 1e-8)
-        assert calls == []
-        rhs_frg1(A, B, 1e-8)
-        assert calls
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "clipped_integrals", recording)
+            pc = proof_chain_integrals(A, B, 1e-8)
+        P, PP, T = quadrature.PROJECTOR, quadrature.POSITIVE_PART, quadrature.TRACE
+        assert clips == [[P, PP], [P, P, PP, T]]
+        assert pc.gamma_form.value.tobytes() == rhs_frg1(A, B, 1e-8).value.tobytes()
 
 
 def _ones(seen=None, pencil=None):
@@ -601,7 +591,39 @@ class TestSharedPanels:
 
     @staticmethod
     def chain(pc):
-        return (pc.v.tobytes(), pc.w.tobytes(), pc.chain.tobytes(), pc.residual_log_difference, pc.residual_dlog_representation, pc.evaluations, pc.converged)
+        return (pc.v.tobytes(), pc.w.tobytes(), pc.residual_log_difference, pc.residual_dlog_representation, pc.evaluations, pc.converged)
+
+    @staticmethod
+    def chain_alone(A, B, tol):
+        """chain(proof_chain_integrals(A, B, tol)) from the chain's own three
+        PROJECTOR trees alone, without the terms that share their nodes."""
+        pair = prepare_pair(A, B)
+        A, B = pair.A, pair.B
+
+        def term(*powers, b_proj=True):
+            def weight(P, c):
+                return np.stack(([B[None] @ P] if b_proj else []) + [P / (c**k)[:, None, None] for k in powers], axis=1)
+
+            return quadrature.Term(quadrature.PROJECTOR, weight, tol / 2)
+
+        (g,) = quadrature.clipped_integrals(pair, "gamma", [term(1, 2)])
+        u1, u2 = quadrature.clipped_integrals(pair, "u", [term(1), term(2, b_proj=False)])
+        zero = np.zeros((3,) + A.shape, dtype=complex)  # an empty domain
+        v, g_over, g_over2 = zero if g is None else g.value
+        w, u_over = zero[:2] if u1 is None else u1.value
+        (u_over2,) = zero[:1] if u2 is None else u2.value
+        dec_a, dec_b = linalg.eig_hermitian(A), linalg.eig_hermitian(B)
+        log_diff = linalg.hermitian_part(g_over - u_over) - (linalg.log_of(dec_a) - linalg.log_of(dec_b))
+        dlog = linalg.hermitian_part(np.eye(A.shape[0]) - g_over2 + u_over2) - frechet.dlog_in(dec_a, B)
+        trees = [r for r in (g, u1, u2) if r is not None]
+        return (
+            v.tobytes(),
+            w.tobytes(),
+            float(np.linalg.norm(log_diff, 2)),
+            float(np.linalg.norm(dlog, 2)),
+            sum(r.evaluations for r in trees),
+            all(r.converged for r in trees),
+        )
 
     @pytest.mark.parametrize("dim", [6, 16])
     @pytest.mark.parametrize("kind", ["pd", "commuting", "singular-b"])
@@ -618,7 +640,7 @@ class TestSharedPanels:
         assert self.tree(gamma_form) == self.tree(rhs_frg1(A, B, tol))
         assert self.tree(t_line) == self.tree(rhs_frg(A, B, tol))
         if kind != "singular-b":
-            assert self.chain(got["proof_chain_integrals"][0]) == self.chain(proof_chain_integrals(A, B, tol))
+            assert self.chain(got["proof_chain_integrals"]) == self.chain_alone(A, B, tol)
         # The trace's initial nodes read eigh's eigenvalues instead of eigvalsh's.
         want = frenkel_trace(A, B, tol)
         assert abs(quadrature._scalar_total([trace_s, trace_u]) - want) <= 1e-13 * abs(want)
@@ -674,7 +696,8 @@ class TestSharedPanels:
             m.setattr(quadrature, "_adaptive", recording)
             for name in ("_positive_proj_stack", "positive_part_stack", "positive_eig_stack"):
                 m.setattr(quadrature, name, counting(name, getattr(quadrature, name)))
-            pc, gamma_form, trace_u = proof_chain_integrals(A, B, tol, forms=True)
+            pc = proof_chain_integrals(A, B, tol)
+        gamma_form, trace_u = pc.gamma_form, pc.trace_u
         assert [r.converged for r in trees] == [True, True, True, False, True, True]
         own = ["_positive_proj_stack", "positive_part_stack", "_positive_proj_stack", "_positive_proj_stack", "positive_part_stack", "positive_eig_stack"]
         for k, kernel in enumerate(own):
@@ -688,8 +711,9 @@ class TestSharedPanels:
         # The terms that converge keep their standalone trees.
         assert not pc.converged
         assert self.tree(gamma_form) == self.tree(rhs_frg1(A, B, tol))
-        alone = proof_chain_integrals(A, B, tol)
-        assert pc.w.tobytes() == alone.w.tobytes() and pc.v.tobytes() == alone.v.tobytes()
+        # The terms that share the chain's nodes leave the bits of its own
+        # three trees unmoved, the capped one included.
+        assert self.chain(pc) == self.chain_alone(A, B, tol)
         (trace_alone,) = quadrature.clipped_integrals(pair, "u", [quadrature._form_term(quadrature.TRACE, "u", tol)])
         assert [iv for iv, _ in trace_u.panels] == [iv for iv, _ in trace_alone.panels]
         assert trace_u.evaluations == trace_alone.evaluations and trace_u.converged

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from frenkel import frechet, linalg, resolvent
-from frenkel.divergence import _block_chain
-from util import rand_herm, rand_pd, rand_psd
+from frenkel.divergence import _block_chain, prepare_pair
+from util import count_lapack_on, rand_herm, rand_pd, rand_psd
 
 TOL = 1e-8
 
@@ -172,12 +172,28 @@ class TestALogDiff:
             A = rand_pd(rng, 4, cond=20.0, scale=float(rng.uniform(0.5, 2.0)))
             B = rand_pd(rng, 4, cond=20.0, scale=float(rng.uniform(0.5, 2.0)))
             li = resolvent.alogdiff_integral(A, B, TOL)
-            want = _block_chain(A, B)
+            want = _block_chain(prepare_pair(A, B))
             assert np.linalg.norm(li.value - want, 2) <= 10 * TOL
             if li.within_a is not None:
                 assert li.within_a
             if li.within_b is not None:
                 assert li.within_b
+
+
+class TestValidationSpectrum:
+    # Each oracle reads an operand's norm off the eigvalsh that validates it.
+    def test_log_resolvent(self, monkeypatch):
+        B = rand_pd(np.random.default_rng(175), 5)
+        lapack = count_lapack_on(monkeypatch, B)
+        resolvent.log_resolvent(B, TOL)
+        assert dict(lapack) == {("eigvalsh", 0): 1}
+
+    def test_alogdiff_integral(self, monkeypatch):
+        rng = np.random.default_rng(176)
+        A, B = rand_pd(rng, 5), rand_pd(rng, 5)
+        lapack = count_lapack_on(monkeypatch, A, B)
+        resolvent.alogdiff_integral(A, B, TOL)
+        assert dict(lapack) == {("eigvalsh", 0): 1, ("eigvalsh", 1): 1}
 
 
 class TestSweep:

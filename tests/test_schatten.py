@@ -335,17 +335,3 @@ class TestTheorem3:
         with pytest.raises(ValueError):
             schatten.theorem3_convergence(mA, mB, 2.0)
 
-
-class TestProblem1Probe:
-    def test_equal_models_converge_to_b(self):
-        m = CompactModel(master_dim=16, law="geom", param=0.6, signs="pos", rotation_seed=8, p=2.0)
-        rec = schatten.problem1_probe(m, m)
-        assert rec.p_gap[-1] <= 1e-10
-
-    def test_emits_full_grid(self):
-        mA = CompactModel(master_dim=32, law="power", param=2.0, signs="pos", rotation_seed=11, p=2.0)
-        mB = CompactModel(master_dim=32, law="power", param=1.5, signs="pos", rotation_seed=12, p=2.0)
-        rec = schatten.problem1_probe(mA, mB)
-        assert rec.ns[-1] == 32
-        assert rec.p_gap.shape == rec.ns.shape
-        assert rec.strong_gap.shape == rec.ns.shape

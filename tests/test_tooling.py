@@ -10,6 +10,7 @@ demo; these tests run them and fail at once instead.
 import ast
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -214,3 +215,37 @@ def test_one_clipped_pencil_core():
         "quadrature._form_domain",
         "quadrature._witness_form",
     }
+
+
+def _passed_keywords() -> set:
+    """(callee, keyword) for every keyword argument passed outside the test
+    suite, in src/frenkel, perfbench/ and demos/; partial(f, key=...) counts
+    as passing key to f."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + DEMOS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and node.args:
+                func = node.args[0]
+            callee = getattr(func, "id", getattr(func, "attr", None))
+            out.update((callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return out
+
+
+def test_every_public_option_is_used():
+    # A keyword-only parameter of a public callable is an option.  One that
+    # only the tests pass is a knob no command, workload or demo turns, so
+    # every one must be passed somewhere outside tests/.
+    import frenkel
+
+    passed = _passed_keywords()
+    unused = [
+        (name, param.name)
+        for name in frenkel.__all__
+        if callable(getattr(frenkel, name))
+        for param in inspect.signature(getattr(frenkel, name)).parameters.values()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY and (name, param.name) not in passed
+    ]
+    assert unused == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -40,6 +41,23 @@ def supported_singular_pair(rng: np.random.Generator, n: int, corank: int = 1):
     M = linalg.hermitian_part(G @ G.conj().T) / r
     A = linalg.hermitian_part(V @ M @ V.conj().T)
     return A, B
+
+
+def count_lapack_on(monkeypatch, *mats: np.ndarray) -> Counter:
+    """Patch numpy's eigh and eigvalsh to count, under (name, k), each call
+    handed the bytes of mats[k]."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def lapack(M, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            M_arr = np.asarray(M)
+            for k, T in enumerate(mats):
+                if M_arr.shape == T.shape and M_arr.dtype == T.dtype and M_arr.tobytes() == T.tobytes():
+                    calls[_name, k] += 1
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, lapack)
+    return calls
 
 
 def unsupported_pair(rng: np.random.Generator, n: int, corank: int = 1):
