@@ -59,12 +59,10 @@ from .quadrature import (
     rhs_frg1,
 )
 from .resolvent import (
-    DominationConstants,
     abs_resolvent,
     alogdiff_integral,
     bdlog_product,
     dlog_resolvent,
-    domination_constants,
     log_resolvent,
 )
 from .schatten import (
@@ -87,7 +85,6 @@ __all__ = [
     "ZERO_BAND",
     "CompactModel",
     "DivergenceReport",
-    "DominationConstants",
     "GrowthRecord",
     "PartsDecomposition",
     "PencilCrossings",
@@ -110,7 +107,6 @@ __all__ = [
     "dlog",
     "dlog_fd_oracle",
     "dlog_resolvent",
-    "domination_constants",
     "domination_tau",
     "eig_hermitian",
     "eigencurves",

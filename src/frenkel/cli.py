@@ -47,6 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (1 <= self.dim <= 512):
             raise ValueError("dim must be in [1, 512]")
         if not (1e-12 <= self.tol <= 1e-2):
@@ -117,8 +119,9 @@ def _suite_routes(pair: PreparedPair, tol: float) -> dict:
 
     The routes are looked up in the module globals when the suite runs.  A
     route only runs where the items that read it do: the chain needs A and
-    B positive definite, the trace pairing B.  On a full-rank B, dlog(B1, A1)
-    is dlog(B, A), read by the two dlog oracles as well.
+    B positive definite, the trace pairing B.  dlog(B1, A1) comes from the
+    pair's decomposition of B1; on a full-rank B it is dlog(B, A), read by
+    the two dlog oracles as well.
 
     The clipped-pencil integrals run on two routes, one per node set (see
     quadrature.clipped_integrals): the gamma and u nodes, where on PD pairs
@@ -136,7 +139,7 @@ def _suite_routes(pair: PreparedPair, tol: float) -> dict:
     routes["delta_operator"] = (delta_operator, A, B)
     if b_pd:
         routes["trace_pairing_check"] = (frechet.trace_pairing_check, B, A)
-    routes["dlog"] = (frechet.dlog, pair.B1, pair.A1)
+    routes["dlog"] = (frechet.dlog_in, pair.b1_decomposition, pair.A1)
     return routes
 
 
@@ -240,9 +243,9 @@ def _suite_items(pair: PreparedPair, tol: float, route):
         target = _block_chain(pair)
         residual = float(np.linalg.norm(li.value - target, 2))
         excess = 0.0
-        if li.within_a is not None and not li.within_a:
+        if not li.within_a:
             excess = max(excess, li.value_norm - li.bound_a)
-        if li.within_b is not None and not li.within_b:
+        if not li.within_b:
             excess = max(excess, li.value_norm - li.bound_b)
         return {"residual": max(residual, excess), "threshold": 1e-6}
 

@@ -150,8 +150,9 @@ class PreparedPair:
 
     @cached_property
     def a_definite(self) -> bool:
-        """A passes positive_definite_spectrum."""
-        return positive_definite_spectrum(np.linalg.eigvalsh(self.A))
+        """A1 passes positive_definite_spectrum, on a1_decomposition; A1 is A
+        when B has full rank."""
+        return positive_definite_spectrum(self.a1_decomposition.eigenvalues)
 
     @cached_property
     def a1_decomposition(self) -> SpectralDecomposition:

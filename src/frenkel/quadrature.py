@@ -31,7 +31,6 @@ from . import frechet, workers
 from .linalg import (
     hermitian_part,
     log_of,
-    positive_definite_spectrum,
     positive_eig_stack,
     positive_eigs_of,
     positive_part_of,
@@ -618,10 +617,10 @@ def proof_chain_integrals(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL
     pair = prepare_pair(A, B)
     if not pair.support.holds or pair.V is not None:
         raise ValueError("proof_chain_integrals: B must be positive definite")
+    if not pair.a_definite:
+        raise ValueError("proof_chain_integrals: A must be positive definite")
     A, B = pair.A, pair.B
     dec_a = pair.a1_decomposition
-    if not positive_definite_spectrum(dec_a.eigenvalues):
-        raise ValueError("proof_chain_integrals: A must be positive definite")
 
     def chain_term(*powers, b_proj=True):
         def weight(P, c):

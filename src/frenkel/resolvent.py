@@ -5,8 +5,7 @@ log derivative, and the two products B dlog(B, A) and A(log A - log B))
 is recomputed here from a semi-infinite resolvent integral, with no shared
 code path: the integrands are built from batched matrix inverses, never
 from an eigendecomposition.  All half-line integrals use the rational
-substitution x = c s/(1 - s) on s in [0, 1 - 1e-12]; the discarded sliver
-carries an analytic tail bound since every integrand decays like x^-2.
+substitution x = c s/(1 - s) on s in [0, 1 - 1e-12].
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .divergence import restrict_pair, embed
-from .linalg import hermitian_part, opnorm, positive_definite_spectrum, range_mask, require_psd
+from .divergence import _restrict, embed
+from .linalg import as_hermitian, check_psd, hermitian_part, opnorm, positive_definite_spectrum
 from .quadrature import DEFAULT_TOL, QuadratureResult, _adaptive
 
 _S_CUT = 1.0 - 1e-12
@@ -37,10 +36,6 @@ def _halfline(fx, c: float, tol: float) -> QuadratureResult:
         return fx(x) * w[:, None, None]
 
     return _adaptive(g, 0.0, _S_CUT, tol)
-
-
-def _x_cut(c: float) -> float:
-    return c * _S_CUT / (1.0 - _S_CUT)
 
 
 def _check_pd(B: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -114,14 +109,9 @@ class DominationConstants:
     beta_b: Optional[float]
 
 
-def domination_constants(A: np.ndarray, B: np.ndarray) -> DominationConstants:
-    A = hermitian_part(np.asarray(A, dtype=complex))
-    B, _ = _check_pd(B, "domination_constants: B")
-    return _domination(A, B, range_mask(np.abs(np.linalg.eigvalsh(A))).all())
-
-
 def _domination(A: np.ndarray, B: np.ndarray, a_invertible: bool) -> DominationConstants:
-    """domination_constants of Hermitian A and validated PD B, given whether A is invertible."""
+    """The DominationConstants of Hermitian A and validated PD B; the betas
+    only when a_invertible."""
     alpha = _spectral_norm(A @ np.linalg.inv(B))
     beta_a = beta_b = None
     if a_invertible:
@@ -133,82 +123,71 @@ def _domination(A: np.ndarray, B: np.ndarray, a_invertible: bool) -> DominationC
 
 @dataclass(frozen=True)
 class ProductIntegral:
-    """B dlog(B, A) from its resolvent integral, with the norm bound alpha ||B||."""
+    """B dlog(B, A) from its resolvent integral, with the norm bound alpha ||B||
+    (alpha of DominationConstants, taken on range(B))."""
 
     value: np.ndarray
     value_norm: float
-    alpha: float
     bound: float
     within_bound: bool
-    tail_bound: float
-    error_estimate: float
 
 
 def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProductIntegral:
     """integral_0^inf B (B + x I)^-1 A (B + x I)^-1 dx with its norm bound.
 
     B may be PSD when ker B annihilates A; the pair is then compressed onto
-    range(B) first and the result embedded back.
+    range(B) first and the result embedded back.  B's PSD check and the
+    restriction read one eigh of B.
     """
     A = hermitian_part(np.asarray(A, dtype=complex))
-    B = require_psd(B, "bdlog_product: B")
+    B = as_hermitian(B)
+    w, U = np.linalg.eigh(B)
+    check_psd(w, "bdlog_product: B")
     n = B.shape[0]
-    V, A1, B1 = restrict_pair(A, B)
+    V, A1, B1 = _restrict(A, B, w, U)
     if V is not None:
         off = _spectral_norm(A - embed(V, A1, n))
         if off > 1e-10 * max(opnorm(A), 1e-300):
             raise ValueError("bdlog_product: ker B does not annihilate A; the integral diverges")
     if not B1.size:
         # B = 0, so A = 0 as well: every term of the integral is 0.
-        return ProductIntegral(
-            value=np.zeros_like(A), value_norm=0.0, alpha=0.0, bound=0.0, within_bound=True, tail_bound=0.0, error_estimate=0.0
-        )
+        return ProductIntegral(value=np.zeros_like(A), value_norm=0.0, bound=0.0, within_bound=True)
     B1, norm_b = _check_pd(B1, "bdlog_product: B on range(B)")
-    wA = np.linalg.eigvalsh(A1)
-    consts = _domination(A1, B1, range_mask(np.abs(wA)).all())
-    c = max(float(np.abs(wA).max()), norm_b, 1.0)
+    alpha = _domination(A1, B1, a_invertible=False).alpha
+    c = max(float(np.abs(np.linalg.eigvalsh(A1)).max()), norm_b, 1.0)
 
     def fx(xs):
         R = _shifted_inv(B1, xs)
         return B1[None] @ R @ A1[None] @ R
 
-    res = _halfline(fx, c, tol)
-    value = embed(V, res.value, n)
-    tail = consts.alpha * norm_b**2 / (norm_b + _x_cut(c))
-    bound = consts.alpha * norm_b
+    value = embed(V, _halfline(fx, c, tol).value, n)
+    bound = alpha * norm_b
     vnorm = _spectral_norm(value)
     return ProductIntegral(
         value=value,
         value_norm=vnorm,
-        alpha=consts.alpha,
         bound=bound,
         within_bound=vnorm <= bound * (1 + 1e-6) + tol,
-        tail_bound=tail,
-        error_estimate=res.error_estimate,
     )
 
 
 @dataclass(frozen=True)
 class LogChainIntegral:
-    """A (log A - log B) from its resolvent integral, with the two norm bounds.
+    """A (log A - log B) from its resolvent integral, with the two norm bounds
 
-    log_factor is (log ||B|| - log ||A||) / (||B|| - ||A||), continued as
-    1/||A|| at equal norms.  bound_a uses alpha (1 + beta_a), bound_b uses
-    alpha beta_b; each is None when its domination constant is unavailable.
+        bound_a = alpha (1 + beta_a) ||A|| ||B|| L,   bound_b = alpha beta_b ||A|| ||B|| L,
+
+    alpha, beta_a and beta_b of DominationConstants and L the log factor
+    (log ||B|| - log ||A||) / (||B|| - ||A||), continued as 1/||A|| at equal
+    norms.
     """
 
     value: np.ndarray
     value_norm: float
-    log_factor: float
-    alpha: float
-    beta_a: Optional[float]
-    beta_b: Optional[float]
-    bound_a: Optional[float]
-    bound_b: Optional[float]
-    within_a: Optional[bool]
-    within_b: Optional[bool]
-    tail_bound: float
-    error_estimate: float
+    bound_a: float
+    bound_b: float
+    within_a: bool
+    within_b: bool
 
 
 def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> LogChainIntegral:
@@ -223,34 +202,20 @@ def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) ->
     def fx(xs):
         return A[None] @ (_shifted_inv(B, xs) - _shifted_inv(A, xs))
 
-    res = _halfline(fx, c, tol)
-    value = res.value
+    value = _halfline(fx, c, tol).value
     if abs(norm_a - norm_b) <= 1e-12 * max(norm_a, norm_b):
         log_factor = 1.0 / norm_a
     else:
         log_factor = (math.log(norm_b) - math.log(norm_a)) / (norm_b - norm_a)
     vnorm = _spectral_norm(value)
-    tail = norm_a * _spectral_norm(A - B) / _x_cut(c)
     slack = 1 + 1e-6
-    bound_a = bound_b = None
-    within_a = within_b = None
-    if consts.beta_a is not None:
-        bound_a = consts.alpha * (1 + consts.beta_a) * norm_a * norm_b * log_factor
-        within_a = vnorm <= bound_a * slack + tol
-    if consts.beta_b is not None:
-        bound_b = consts.alpha * consts.beta_b * norm_a * norm_b * log_factor
-        within_b = vnorm <= bound_b * slack + tol
+    bound_a = consts.alpha * (1 + consts.beta_a) * norm_a * norm_b * log_factor
+    bound_b = consts.alpha * consts.beta_b * norm_a * norm_b * log_factor
     return LogChainIntegral(
         value=value,
         value_norm=vnorm,
-        log_factor=log_factor,
-        alpha=consts.alpha,
-        beta_a=consts.beta_a,
-        beta_b=consts.beta_b,
         bound_a=bound_a,
         bound_b=bound_b,
-        within_a=within_a,
-        within_b=within_b,
-        tail_bound=tail,
-        error_estimate=res.error_estimate,
+        within_a=vnorm <= bound_a * slack + tol,
+        within_b=vnorm <= bound_b * slack + tol,
     )

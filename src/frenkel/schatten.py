@@ -36,10 +36,11 @@ def _sample_block(N: int, seed: int) -> np.ndarray:
 class CompactModel:
     """Spectral recipe for a master operator.
 
-    law "power" uses magnitudes i^-param; "geom" uses param^i (0 < param < 1).
-    signs: "pos" (all positive), "alt" (alternating), or "seeded" (random
-    signs drawn from rotation_seed).  p is the Schatten exponent the law
-    must be summable for, checked with the analytic tail of the law.
+    law "power" uses magnitudes i^-param; "geom" uses param^i (0 < param < 1);
+    param is finite.  signs: "pos" (all positive), "alt" (alternating), or
+    "seeded" (random signs drawn from rotation_seed + 1, so rotation_seed
+    >= -1).  p is the Schatten exponent the law must be summable for,
+    checked with the analytic tail of the law.
     """
 
     master_dim: int
@@ -58,6 +59,10 @@ class CompactModel:
             raise ValueError(f"unknown sign pattern {self.signs!r}")
         if not (self.p >= 1):
             raise ValueError("p must be >= 1 or inf")
+        if not math.isfinite(self.param):
+            raise ValueError("param must be finite")
+        if self.signs == "seeded" and self.rotation_seed < -1:
+            raise ValueError("rotation_seed must be >= -1 for seeded signs")
         if self.law == "geom" and not (0 < self.param < 1):
             raise ValueError("geometric law needs 0 < param < 1")
         if self.law == "power" and self.param <= 0:

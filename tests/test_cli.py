@@ -15,6 +15,7 @@ import pytest
 from frenkel import cli, frechet, linalg, quadrature, workers
 from frenkel.cli import RunConfig, generate_pair, main, run_verification_suite
 from frenkel.io import pair_json, read_pair, write_pair
+from util import count_lapack_on
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +64,12 @@ class TestGeneratePair:
             RunConfig(command="gen", tol=1.0)
         with pytest.raises(ValueError):
             RunConfig(command="nope")
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "pair.json"
+        assert main(["gen", "--seed", "-1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "frenkel: error: seed must be non-negative\n"
+        assert not out.exists()
 
 
 class TestVerify:
@@ -199,13 +206,13 @@ class TestVerify:
         def boom(*args, **kwargs):
             raise ValueError("chain failed")
 
-        def slow_dlog(*args):
+        def slow_dlog_in(*args):
             time.sleep(0.5)
             finished.set()
-            return frechet.dlog(*args)
+            return frechet.dlog_in(*args)
 
         monkeypatch.setattr(cli, "proof_chain_integrals", boom)
-        monkeypatch.setattr(cli, "frechet", types.SimpleNamespace(**{**vars(frechet), "dlog": slow_dlog}))
+        monkeypatch.setattr(cli, "frechet", types.SimpleNamespace(**{**vars(frechet), "dlog_in": slow_dlog_in}))
         monkeypatch.setenv("FRENKEL_THREADS", "2")
         assert main(["verify", "-i", str(pair), "-o", str(out)]) == 2
         assert finished.is_set()
@@ -341,15 +348,16 @@ class TestSharedRoutes:
     @pytest.mark.parametrize("diagnostics", [False, True])
     def test_each_shared_route_runs_once(self, tmp_path, monkeypatch, threads, diagnostics):
         expected = {
-            # dlog(B, A) is shared with bdlog_product_oracle on a full-rank B.
+            # dlog(B1, A1), from the pair's decomposition of B1, is shared
+            # by the two dlog oracles and bdlog_product_oracle.
             "pd": {
                 "delta_operator": 1,
                 "proof_chain_integrals": 1,
                 "rhs_frg(trace)": 1,
                 "trace_pairing_check": 1,
-                "dlog": 1,
+                "dlog_in": 1,
             },
-            "singular-b": {"delta_operator": 1, "rhs_frg1(trace)": 1, "rhs_frg(trace)": 1, "dlog": 1},
+            "singular-b": {"delta_operator": 1, "rhs_frg1(trace)": 1, "rhs_frg(trace)": 1, "dlog_in": 1},
         }
         calls = []
 
@@ -366,7 +374,7 @@ class TestSharedRoutes:
         monkeypatch.setattr(quadrature, "frenkel_trace", counted("frenkel_trace", quadrature.frenkel_trace))
         # Only the suite's own frechet calls count, not those inside frechet.
         proxy = types.SimpleNamespace(**vars(frechet))
-        for name in ("trace_pairing_check", "dlog"):
+        for name in ("trace_pairing_check", "dlog", "dlog_in"):
             setattr(proxy, name, counted(name, getattr(frechet, name)))
         monkeypatch.setattr(cli, "frechet", proxy)
         monkeypatch.setenv("FRENKEL_THREADS", threads)
@@ -406,6 +414,35 @@ class TestSharedRoutes:
         assert sorted(routes) == sorted(readers)
         for route in routes:
             assert all(starts.index(route) < starts.index(item) for item in readers[route]), (route, starts)
+
+
+class TestSuiteLapackWork:
+    """The suite reads each operand's spectrum from the pair that holds it."""
+
+    @pytest.mark.parametrize("flags, most", [([], 46), (["--singular-b"], 45)], ids=["pd", "singular-b"])
+    def test_single_matrix_calls(self, tmp_path, monkeypatch, flags, most):
+        pair = tmp_path / "pair.json"
+        assert main(["gen", "--seed", "1", "--dim", "16", "--cond", "1e3", *flags, "-o", str(pair)]) == 0
+        A, B = read_pair(pair)
+        calls = Counter()
+        for name in ("eigh", "eigvalsh", "inv"):
+
+            def lapack(M, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += np.ndim(M) == 2
+                return _real(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, lapack)
+        monkeypatch.setenv("FRENKEL_THREADS", "1")
+        run_verification_suite(A, B, 1e-8)
+        assert sum(calls.values()) <= most, dict(calls)
+
+    def test_a_definite_reads_a1_decomposition(self, monkeypatch):
+        A, B = generate_pair(RunConfig(command="gen", seed=1, dim=16, condition_target=1e3))
+        pair = cli.prepare_pair(A, B)
+        lapack = count_lapack_on(monkeypatch, pair.A)
+        assert cli._definiteness(pair) == (True, True)
+        pair.a1_decomposition
+        assert dict(lapack) == {("eigh", 0): 1}
 
 
 class TestModuleEntryPoint:
@@ -469,6 +506,13 @@ class TestTruncateCommand:
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"law": "power", "param": 0.1, "signs": "pos", "N": 8, "p": 2.0, "seed": 1}))
         assert main(["truncate", "--config", str(config), "-o", str(tmp_path / "s.csv")]) == 2
+
+    def test_seeded_signs_accept_seed_minus_one(self, tmp_path):
+        # -1 draws the signs from seed 0 and keeps the trivial rotation.
+        config, out = tmp_path / "exp.json", tmp_path / "s.csv"
+        config.write_text(json.dumps({"law": "power", "param": 1.5, "signs": "seeded", "N": 8, "p": 2.0, "seed": -1}))
+        assert main(["truncate", "--config", str(config), "-o", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 9
 
 
 class TestProbeCommand:
@@ -595,8 +639,20 @@ MALFORMED_CONFIGS = {
     "param a boolean": json.dumps({**GOOD_CONFIG, "param": True}),
     "param a numeric string": json.dumps({**GOOD_CONFIG, "param": "1.5"}),
     "param beyond float": json.dumps({**GOOD_CONFIG, "param": 10**400}),
+    "param NaN": json.dumps({**GOOD_CONFIG, "param": math.nan}),
+    "param Infinity": json.dumps({**GOOD_CONFIG, "param": math.inf}),
+    "param 1e400": json.dumps(GOOD_CONFIG).replace('"param": 1.5', '"param": 1e400'),
+    "seeded signs with seed -2": json.dumps({**GOOD_CONFIG, "signs": "seeded", "seed": -2}),
     "p a boolean": json.dumps({**GOOD_CONFIG, "p": True}),
     "p a numeric string": json.dumps({**GOOD_CONFIG, "p": "2"}),
+}
+# Cases that once reached LAPACK or NumPy unnamed, or wrote the CSV of a
+# rank-one model (param inf), with the message that names the field now.
+CONFIG_MESSAGES = {
+    "param NaN": "param must be finite",
+    "param Infinity": "param must be finite",
+    "param 1e400": "param must be finite",
+    "seeded signs with seed -2": "rotation_seed must be >= -1 for seeded signs",
 }
 
 
@@ -621,6 +677,7 @@ class TestMalformedInput:
         assert main(["truncate", "--config", str(config), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("frenkel: error: truncate config: ") and err.count("\n") == 1, err
+        assert CONFIG_MESSAGES.get(case, "") in err
         assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from frenkel import frechet, linalg, resolvent
 from frenkel.divergence import _block_chain, prepare_pair
-from util import count_lapack_on, rand_herm, rand_pd, rand_psd
+from util import count_lapack_on, rand_herm, rand_pd, rand_psd, supported_singular_pair
 
 TOL = 1e-8
 
@@ -75,12 +75,13 @@ class TestDlogResolvent:
 
 
 class TestDominationConstants:
+    # resolvent._domination takes a validated PD B and whether A is invertible.
     def test_minimality(self):
         rng = np.random.default_rng(166)
         for _ in range(20):
             A = rand_herm(rng, 4)
-            B = rand_pd(rng, 4)
-            c = resolvent.domination_constants(A, B)
+            B, _ = resolvent._check_pd(rand_pd(rng, 4), "B")
+            c = resolvent._domination(A, B, a_invertible=False)
             scale = linalg.opnorm(A) ** 2 + linalg.opnorm(B) ** 2
             w = np.linalg.eigvalsh(c.alpha**2 * (B @ B) - A @ A)
             assert w.min() >= -1e-9 * scale
@@ -90,8 +91,8 @@ class TestDominationConstants:
     def test_beta_constants(self):
         rng = np.random.default_rng(167)
         A = rand_pd(rng, 4)
-        B = rand_pd(rng, 4)
-        c = resolvent.domination_constants(A, B)
+        B, _ = resolvent._check_pd(rand_pd(rng, 4), "B")
+        c = resolvent._domination(A, B, a_invertible=True)
         scale = linalg.opnorm(A) ** 2 + linalg.opnorm(B) ** 2
         assert np.linalg.eigvalsh(c.beta_a**2 * (A @ A) - B @ B).min() >= -1e-9 * scale
         D = A - B
@@ -101,8 +102,9 @@ class TestDominationConstants:
 
     def test_singular_direction_has_no_beta(self):
         A = np.diag([1.0, 0.0]).astype(complex)
-        B = np.eye(2, dtype=complex)
-        c = resolvent.domination_constants(A, B)
+        B, _ = resolvent._check_pd(np.eye(2, dtype=complex), "B")
+        c = resolvent._domination(A, B, a_invertible=False)
+        assert c.alpha == pytest.approx(1.0, rel=1e-12)
         assert c.beta_a is None and c.beta_b is None
 
 
@@ -156,7 +158,10 @@ class TestALogDiff:
         A = rand_pd(rng, 3)
         li = resolvent.alogdiff_integral(A, A, TOL)
         assert li.value_norm <= 10 * TOL
-        assert li.log_factor == pytest.approx(1.0 / linalg.opnorm(A), rel=1e-9)
+        # The equal-norm branch of the log factor, 1/||A||, with alpha =
+        # beta_a = 1 and beta_b = 0.
+        assert li.bound_a == pytest.approx(2 * linalg.opnorm(A), rel=1e-9)
+        assert li.bound_b == 0.0
         assert li.within_a and li.within_b
 
     def test_commuting_diagonal(self):
@@ -174,10 +179,7 @@ class TestALogDiff:
             li = resolvent.alogdiff_integral(A, B, TOL)
             want = _block_chain(prepare_pair(A, B))
             assert np.linalg.norm(li.value - want, 2) <= 10 * TOL
-            if li.within_a is not None:
-                assert li.within_a
-            if li.within_b is not None:
-                assert li.within_b
+            assert li.within_a and li.within_b
 
 
 class TestValidationSpectrum:
@@ -187,6 +189,29 @@ class TestValidationSpectrum:
         lapack = count_lapack_on(monkeypatch, B)
         resolvent.log_resolvent(B, TOL)
         assert dict(lapack) == {("eigvalsh", 0): 1}
+
+    def test_bdlog_product(self, monkeypatch):
+        # A full-rank B is checked PSD on the eigh that restricts it; the
+        # eigvalsh of B1 = B gives its definiteness and the half-line scale.
+        rng = np.random.default_rng(177)
+        A, B = rand_herm(rng, 5), rand_pd(rng, 5)
+        lapack = count_lapack_on(monkeypatch, B)
+        resolvent.bdlog_product(A, B, TOL)
+        assert dict(lapack) == {("eigh", 0): 1, ("eigvalsh", 0): 1}
+
+    def test_bdlog_product_singular_b(self, monkeypatch):
+        A, B = supported_singular_pair(np.random.default_rng(178), 5, corank=2)
+        lapack = count_lapack_on(monkeypatch, B)
+        resolvent.bdlog_product(A, B, TOL)
+        assert dict(lapack) == {("eigh", 0): 1}
+
+    def test_bdlog_product_rejects_b_on_its_eigh(self):
+        rng = np.random.default_rng(179)
+        A, N = rand_herm(rng, 3), -rand_pd(rng, 3)
+        w = np.linalg.eigh(N)[0]
+        with pytest.raises(ValueError) as exc:
+            resolvent.bdlog_product(A, N, TOL)
+        assert str(exc.value) == f"bdlog_product: B is not positive semidefinite (min eigenvalue {w.min():.6e})"
 
     def test_alogdiff_integral(self, monkeypatch):
         rng = np.random.default_rng(176)
