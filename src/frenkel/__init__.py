@@ -29,7 +29,6 @@ from .linalg import (
     psd_order,
     random_unitary,
     schatten_norm,
-    support_relation,
 )
 from .frechet import dlog, dlog_fd_oracle, loewner_log, trace_pairing_check
 from .divergence import (
@@ -131,7 +130,6 @@ __all__ = [
     "rhs_frg1",
     "run_verification_suite",
     "schatten_norm",
-    "support_relation",
     "synth_compact",
     "theorem3_convergence",
     "trace_divergence",

@@ -406,6 +406,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     A, B = read_pair(args.input)
     with np.errstate(invalid="ignore"):  # a non-finite end: eigencurves rejects the grid
         grid = np.linspace(args.lo, args.hi, args.points)
@@ -422,10 +424,20 @@ def _cmd_truncate(args) -> int:
     return 0
 
 
+def _checkpoint(token: str) -> float:
+    """One comma-separated --checkpoints value; whitespace around it is accepted."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"--checkpoints: {token.strip()!r} is not a number") from None
+
+
 def _cmd_probe(args) -> int:
     RunConfig(command="probe", tol=args.tol)  # range check only
     A, B = read_pair(args.input)
-    checkpoints = [float(tok) for tok in args.checkpoints.split(",") if tok.strip()]
+    # An empty option is no checkpoints at all, which divergence_probe rejects.
+    tokens = args.checkpoints.split(",") if args.checkpoints.strip() else []
+    checkpoints = [_checkpoint(tok) for tok in tokens]
     record = divergence_probe(A, B, checkpoints, args.tol)
     write_csv(
         args.output,

@@ -3,8 +3,9 @@
 Delta(A||B) = A(log A - log B) - B dlog(B, A) + B for PSD A, B with
 range(A) inside range(B); the computation restricts both operands to
 range(B), evaluates there, and embeds the result back with zero padding.
-Pairs without support containment are flagged divergent together with a
-kernel witness instead of a value.
+On a pair without support containment the operator is unbounded: the
+operator routes raise SupportViolation with a kernel witness, and the
+scalar routes return D = inf.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ from .linalg import (
     support_in_eigenbasis,
 )
 
-FINITE = "finite"
-DIVERGENT = "divergent"
-
-# PSD slack for the computed Delta under a finite verdict; violations are
-# recorded in the report, never silently clipped.
+# PSD slack for the computed Delta; violations are recorded in the report,
+# never silently clipped.
 DELTA_PSD_SLACK = 1e-8
 
 
@@ -53,17 +51,14 @@ class SupportViolation(ValueError):
 class DivergenceReport:
     """Delta(A||B) with consistency diagnostics.
 
-    trace_div is D(A||B) in nats (math.inf under a divergent verdict, as an
-    explicit sentinel).  residual_trace_consistency is |tr Delta - D| where
-    the two sides come from independent formulas.  delta_min_eigenvalue
-    records how far Delta sits from the PSD cone; under a finite verdict it
+    trace_div is D(A||B) in nats.  residual_trace_consistency is
+    |tr Delta - D| where the two sides come from independent formulas.
+    delta_min_eigenvalue records how far Delta sits from the PSD cone; it
     should not fall below -1e-8 * scale.
     """
 
-    delta: Optional[np.ndarray]
+    delta: np.ndarray
     trace_div: float
-    dichotomy: str
-    witness: Optional[np.ndarray]
     residual_trace_consistency: float
     delta_min_eigenvalue: float
 
@@ -183,6 +178,15 @@ def prepare_pair(A: np.ndarray, B: np.ndarray) -> PreparedPair:
     return PreparedPair(A, B, support, V, A1, B1, b1_eigh)
 
 
+def supported_pair(A: np.ndarray, B: np.ndarray) -> PreparedPair:
+    """prepare_pair, raising SupportViolation when range(A) is not contained
+    in range(B): the one support gate of the operator-valued routes."""
+    pair = prepare_pair(A, B)
+    if not pair.support.holds:
+        raise SupportViolation("range(A) not contained in range(B): Delta(A||B) is unbounded", pair.support.witness)
+    return pair
+
+
 def domination_tau(A: np.ndarray, B: np.ndarray) -> float:
     """Smallest tau with A <= tau B, or inf when support containment fails."""
     pair = prepare_pair(A, B)
@@ -212,17 +216,8 @@ def _block_chain(pair: PreparedPair) -> np.ndarray:
 
 
 def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
-    """Spectral-route Delta(A||B), with the support dichotomy resolved first."""
-    pair = prepare_pair(A, B)
-    if not pair.support.holds:
-        return DivergenceReport(
-            delta=None,
-            trace_div=math.inf,
-            dichotomy=DIVERGENT,
-            witness=pair.support.witness,
-            residual_trace_consistency=0.0,
-            delta_min_eigenvalue=math.nan,
-        )
+    """Spectral-route Delta(A||B), behind the support gate of supported_pair."""
+    pair = supported_pair(A, B)
     n = pair.A.shape[0]
     V, A1, B1 = pair.V, pair.A1, pair.B1
     chain = _block_chain(pair)
@@ -236,8 +231,6 @@ def delta_operator(A: np.ndarray, B: np.ndarray) -> DivergenceReport:
     return DivergenceReport(
         delta=delta,
         trace_div=trace_div,
-        dichotomy=FINITE,
-        witness=None,
         residual_trace_consistency=residual,
         delta_min_eigenvalue=min_eig,
     )

@@ -63,23 +63,21 @@ def dlog_in(dec: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
     return hermitian_part(U @ (L * C) @ U.conj().T)
 
 
-def dlog_fd_oracle(B: np.ndarray, A: np.ndarray, t: float | None = None) -> np.ndarray:
+def dlog_fd_oracle(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Central difference (log(B + tA) - log(B - tA)) / (2 t).
 
     Truncation error is O(t^2) with a constant driven by the smallest
     eigenvalue of B (the third derivative of log blows up there), so the
-    default step scales with that eigenvalue; this balances truncation
-    against rounding near 1e-8 absolute accuracy.
+    step t = 1e-4 lambda_min(B) / max(||A||, 1) scales with that
+    eigenvalue; this balances truncation against rounding near 1e-8
+    absolute accuracy.
     """
     B = np.asarray(B, dtype=complex)
     A = np.asarray(A, dtype=complex)
-    if t is None:
-        w = np.linalg.eigvalsh(hermitian_part(B))
-        if not positive_definite_spectrum(w):
-            raise ValueError("dlog_fd_oracle: B must be positive definite")
-        t = 1e-4 * float(w.min()) / max(opnorm(A), 1.0)
-    if t <= 0:
-        raise ValueError("dlog_fd_oracle: step must be positive")
+    w = np.linalg.eigvalsh(hermitian_part(B))
+    if not positive_definite_spectrum(w):
+        raise ValueError("dlog_fd_oracle: B must be positive definite")
+    t = 1e-4 * float(w.min()) / max(opnorm(A), 1.0)
     try:
         plus = matrix_log(B + t * A)
         minus = matrix_log(B - t * A)

@@ -111,17 +111,11 @@ def range_mask(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartsDecomposition:
-    """Spectral split T = positive_part - negative_part.
-
-    positive_projection / negative_projection are the orthogonal projectors
-    onto the strictly positive / strictly negative eigenspaces; eigenvalues
-    inside the zero band belong to neither side.
-    """
+    """Spectral split T = positive_part - negative_part; eigenvalues inside
+    the zero band belong to neither side."""
 
     positive_part: np.ndarray
     negative_part: np.ndarray
-    positive_projection: np.ndarray
-    negative_projection: np.ndarray
 
     @property
     def absolute_value(self) -> np.ndarray:
@@ -129,14 +123,12 @@ class PartsDecomposition:
 
 
 def parts(T: np.ndarray) -> PartsDecomposition:
-    """Positive/negative parts and spectral projections of a Hermitian matrix."""
+    """Positive and negative parts of a Hermitian matrix."""
     dec = eig_hermitian(T)
     w, U = dec.eigenvalues, dec.eigenvectors
     return PartsDecomposition(
         positive_part=positive_part_of(w, U),
         negative_part=positive_part_of(-w, U),
-        positive_projection=positive_projector_of(w, U),
-        negative_projection=positive_projector_of(-w, U),
     )
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .divergence import (
     PreparedPair,
-    SupportViolation,
     embed,
     prepare_pair,
+    supported_pair,
     _block_chain,
     _relative_spectrum,
 )
@@ -444,13 +444,6 @@ def _scalar_total(results) -> float:
     return total
 
 
-def _supported_pair(A, B) -> PreparedPair:
-    pair = prepare_pair(A, B)
-    if not pair.support.holds:
-        raise SupportViolation("range(A) not contained in range(B): the integral diverges", pair.support.witness)
-    return pair
-
-
 def _combine(pair: PreparedPair, parts_list, panel_maps) -> QuadratureResult:
     total = np.zeros(pair.A1.shape, dtype=complex)
     err = 0.0
@@ -495,7 +488,7 @@ def rhs_frg1(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: b
     trace: also integrate frenkel_trace's u part on term 2's initial nodes
     (see clipped_integrals) and return (result, that part).
     """
-    pair = _supported_pair(A, B)
+    pair = supported_pair(A, B)
     (r1,) = clipped_integrals(pair, "gamma", _divergence_terms("gamma", tol))
     r2, *part = clipped_integrals(pair, "u", _divergence_terms("u", tol, trace))
     result = _rhs_frg1_result(pair, r1, r2)
@@ -518,7 +511,7 @@ def rhs_frg(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL, *, trace: bo
     trace: also integrate frenkel_trace's s part on piece 1's initial nodes
     (see clipped_integrals) and return (result, that part).
     """
-    pair = _supported_pair(A, B)
+    pair = supported_pair(A, B)
     # s = 1/t in (0, 1 - 1/gamma_max]; gamma = 1/(1-s), measure gamma * O ds.
     r1, *part = clipped_integrals(pair, "s", _divergence_terms("s", tol, trace))
     # Piece 2 in v = gamma - 1 = -1/t, measure (B - gamma A)_+ dv / gamma^2.

@@ -129,7 +129,6 @@ class ProductIntegral:
     value: np.ndarray
     value_norm: float
     bound: float
-    within_bound: bool
 
 
 def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> ProductIntegral:
@@ -151,7 +150,7 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Pro
             raise ValueError("bdlog_product: ker B does not annihilate A; the integral diverges")
     if not B1.size:
         # B = 0, so A = 0 as well: every term of the integral is 0.
-        return ProductIntegral(value=np.zeros_like(A), value_norm=0.0, bound=0.0, within_bound=True)
+        return ProductIntegral(value=np.zeros_like(A), value_norm=0.0, bound=0.0)
     B1, norm_b = _check_pd(B1, "bdlog_product: B on range(B)")
     alpha = _domination(A1, B1, a_invertible=False).alpha
     c = max(float(np.abs(np.linalg.eigvalsh(A1)).max()), norm_b, 1.0)
@@ -161,14 +160,7 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Pro
         return B1[None] @ R @ A1[None] @ R
 
     value = embed(V, _halfline(fx, c, tol).value, n)
-    bound = alpha * norm_b
-    vnorm = _spectral_norm(value)
-    return ProductIntegral(
-        value=value,
-        value_norm=vnorm,
-        bound=bound,
-        within_bound=vnorm <= bound * (1 + 1e-6) + tol,
-    )
+    return ProductIntegral(value=value, value_norm=_spectral_norm(value), bound=alpha * norm_b)
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,6 @@ class ConvergenceRecord:
 
     p: float
     ns: np.ndarray
-    op_gap: np.ndarray
     p_gap: np.ndarray
     strong_gap: np.ndarray
 
@@ -300,14 +299,13 @@ def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float)
 
     The n-block value is Delta(A_n || B_n) computed on the block (B's
     principal blocks stay PD) and embedded; distances to the master Delta
-    are recorded in operator norm, p-norm, and against sample vectors.
+    are recorded in p-norm and against sample vectors.
     """
     A, B = _master_pair(A_model, B_model)
     N = A.shape[0]
     master = delta_operator(A, B).delta
     X = _sample_block(N, 21)
     ns = _power_of_two_grid(N)
-    op_gap = np.empty(ns.size)
     p_gap = np.empty(ns.size)
     strong = np.empty(ns.size)
     for k, n in enumerate(ns):
@@ -315,10 +313,9 @@ def theorem3_convergence(A_model: CompactModel, B_model: CompactModel, p: float)
         emb = np.zeros_like(A)
         emb[:n, :n] = blk
         diff = emb - master
-        op_gap[k] = schatten_norm(diff, math.inf)
         p_gap[k] = schatten_norm(diff, p)
         strong[k] = float(np.linalg.norm(diff @ X, axis=0).max())
-    return ConvergenceRecord(p=p, ns=ns, op_gap=op_gap, p_gap=p_gap, strong_gap=strong)
+    return ConvergenceRecord(p=p, ns=ns, p_gap=p_gap, strong_gap=strong)
 
 
 def model_from_config(cfg: dict) -> CompactModel:

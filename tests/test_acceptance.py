@@ -153,7 +153,7 @@ def test_criterion_05_oracle_agreement():
         worst["bdlog"] = max(
             worst["bdlog"], float(np.linalg.norm(pr.value - B @ frechet.dlog(B, A), 2))
         )
-        bounds_ok = bounds_ok and pr.within_bound
+        bounds_ok = bounds_ok and pr.value_norm <= pr.bound * (1 + 1e-6) + QUAD_TOL
         li = resolvent.alogdiff_integral(A, B, QUAD_TOL)
         worst["alogdiff"] = max(
             worst["alogdiff"], float(np.linalg.norm(li.value - _block_chain(prepare_pair(A, B)), 2))

@@ -490,6 +490,21 @@ class TestPencilCommand:
         assert capsys.readouterr().err == "frenkel: error: eigencurves: the grid must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_exits_two(self, tmp_path, capsys, points):
+        pair, out = tmp_path / "pair.json", tmp_path / "curves.csv"
+        main(["gen", "--seed", "2", "--dim", "3", "-o", str(pair)])
+        assert main(["pencil", "-i", str(pair), "--from", "0", "--to", "1", f"--points={points}", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"frenkel: error: --points must be at least 1, got {points}\n"
+        assert not out.exists()
+
+    def test_one_point(self, tmp_path):
+        pair, out = tmp_path / "pair.json", tmp_path / "curves.csv"
+        main(["gen", "--seed", "2", "--dim", "3", "-o", str(pair)])
+        assert main(["pencil", "-i", str(pair), "--from", "0.5", "--to", "1", "--points", "1", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.5
+
 
 class TestTruncateCommand:
     def test_experiment_runs(self, tmp_path):
@@ -543,6 +558,23 @@ class TestProbeCommand:
         assert main(["probe", "-i", str(pair), "--checkpoints", "", "-o", str(out)]) == 2
         assert "divergence_probe: needs at least one checkpoint" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoints, token", [("10,abc", "abc"), ("10,,100", ""), ("10, ,100", ""), ("10,", "")])
+    def test_malformed_checkpoint_exits_two(self, tmp_path, capsys, checkpoints, token):
+        pair = tmp_path / "pair.json"
+        out = tmp_path / "g.csv"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        assert main(["probe", "-i", str(pair), f"--checkpoints={checkpoints}", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"frenkel: error: --checkpoints: {token!r} is not a number\n"
+        assert not out.exists()
+
+    def test_whitespace_around_checkpoints_accepted(self, tmp_path):
+        pair = tmp_path / "pair.json"
+        main(["gen", "--seed", "4", "--dim", "4", "--unsupported", "-o", str(pair)])
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        assert main(["probe", "-i", str(pair), "--checkpoints", " 10 , 100 ", "-o", str(spaced)]) == 0
+        assert main(["probe", "-i", str(pair), "--checkpoints", "10,100", "-o", str(plain)]) == 0
+        assert spaced.read_bytes() == plain.read_bytes()
 
     def test_repeated_checkpoint_exits_two(self, tmp_path, capsys):
         pair = tmp_path / "pair.json"

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from frenkel import divergence, frechet, linalg, quadrature, resolvent, schatten
+from frenkel import cli, divergence, frechet, linalg, quadrature, resolvent, schatten
 from frenkel.divergence import delta_operator, o_gamma, prepare_pair, trace_divergence
 from util import count_lapack_on, rand_pd, rand_psd, supported_singular_pair, unsupported_pair
 
@@ -34,7 +34,6 @@ class TestDeltaOperator:
         for n in (1, 3, 6):
             B = rand_pd(rng, n)
             rep = delta_operator(B, B)
-            assert rep.dichotomy == "finite"
             assert linalg.opnorm(rep.delta) <= 1e-10 * linalg.opnorm(B)
 
     def test_commuting_diagonal_formula(self):
@@ -45,11 +44,11 @@ class TestDeltaOperator:
         assert np.linalg.norm(rep.delta - want, 2) <= 1e-12
 
     def test_divergent_with_witness(self):
-        rep = delta_operator(np.diag([1.0, 1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex))
-        assert rep.dichotomy == "divergent"
-        assert rep.trace_div == math.inf
-        assert rep.delta is None
-        assert abs(abs(rep.witness[1]) - 1.0) <= 1e-12
+        A, B = np.diag([1.0, 1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(divergence.SupportViolation) as info:
+            delta_operator(A, B)
+        assert abs(abs(info.value.witness[1]) - 1.0) <= 1e-12
+        assert trace_divergence(A, B) == math.inf
 
     def test_unitary_covariance(self):
         rng = np.random.default_rng(74)
@@ -87,7 +86,6 @@ class TestDeltaOperator:
         for n in (3, 5):
             A, B = supported_singular_pair(rng, n)
             rep = delta_operator(A, B)
-            assert rep.dichotomy == "finite"
             eps1, eps2 = 1e-6, 1e-8
             eye = np.eye(n)
             d1 = delta_operator(A, B + eps1 * eye).delta
@@ -181,10 +179,10 @@ def test_zero_pair_routes_return_zero(name):
         assert (out.evaluations, out.converged, out.error_estimate) == (0, True, 0.0)
         out = out.value
     elif isinstance(out, divergence.DivergenceReport):
-        assert (out.dichotomy, out.trace_div) == (divergence.FINITE, 0.0)
+        assert out.trace_div == 0.0
         out = out.delta
     elif isinstance(out, resolvent.ProductIntegral):
-        assert out.within_bound
+        assert out.value_norm <= out.bound * (1 + 1e-6) + 1e-8
         out = out.value
     assert np.all(np.asarray(out) == 0.0)
 
@@ -274,3 +272,19 @@ class TestPreparedPair:
         assert not pair.support.holds
         assert pair.support.witness.tobytes() == want.witness.tobytes()
         assert pair.V is None and pair.A1 is None and pair.B1 is None
+
+
+@pytest.mark.parametrize("seed, dim", [(1, 2), (3, 5), (7, 8)])
+def test_one_support_gate(seed, dim):
+    # The three operator-valued routes start from divergence.supported_pair:
+    # on a gen --unsupported pair each raises SupportViolation carrying the
+    # support verdict's witness, while the scalar routes return D = inf.
+    A, B = cli.generate_pair(cli.RunConfig(command="gen", seed=seed, dim=dim, unsupported=True))
+    want = linalg.support_relation(A, B)
+    assert not want.holds
+    for route in ("delta_operator", "rhs_frg1", "rhs_frg"):
+        with pytest.raises(divergence.SupportViolation) as info:
+            ROUTES[route](A, B)
+        assert info.value.witness.tobytes() == want.witness.tobytes(), route
+    for route in ("trace_divergence", "domination_tau", "frenkel_trace", "budget_e_p"):
+        assert ROUTES[route](A, B) == math.inf, route

@@ -91,14 +91,19 @@ class TestFdOracle:
         assert np.allclose(frechet.dlog_fd_oracle(B, np.zeros((3, 3), dtype=complex)), 0.0)
 
     def test_scalar(self):
-        got = frechet.dlog_fd_oracle(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]), t=1e-4)
+        # The computed step is 1e-4 * 2 / 1 = 2e-4.
+        got = frechet.dlog_fd_oracle(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]))
         assert got[0, 0].real == pytest.approx(0.5, abs=1e-8)
 
     def test_step_too_large(self):
-        B = np.diag([1.0, 0.01]).astype(complex)
+        # B clears the zero band of its largest eigenvalue, 1e-12, but
+        # B - tA at the computed step t = 1e-4 * 1.00005e-12 has its smallest
+        # eigenvalue 0.99995e-12 inside it.
+        B = np.diag([1.0, 1.00005e-12]).astype(complex)
         A = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="step"):
-            frechet.dlog_fd_oracle(B, A, t=0.5)
+        assert linalg.positive_definite_spectrum(np.linalg.eigvalsh(B))
+        with pytest.raises(ValueError, match="step 1.00005e-16 too large"):
+            frechet.dlog_fd_oracle(B, A)
 
 
 class TestTracePairing:

@@ -325,7 +325,6 @@ class TestTheorem3:
         mB = CompactModel(master_dim=64, law="power", param=1.5, signs="pos", rotation_seed=12, p=2.0)
         rec = schatten.theorem3_convergence(mA, mB, 2.0)
         assert rec.p_gap[-1] <= 1e-6
-        assert rec.op_gap[-1] <= 1e-6
         assert rec.strong_gap[-1] <= 1e-6
         assert np.all(np.diff(rec.p_gap) <= 1e-6 + 0.01 * rec.p_gap[:-1])
 

@@ -8,6 +8,7 @@ demo; these tests run them and fail at once instead.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -217,38 +218,96 @@ def test_one_clipped_pencil_core():
     }
 
 
-def _passed_keywords() -> set:
-    """(callee, keyword) for every keyword argument passed outside the test
-    suite, in src/frenkel, perfbench/ and demos/; partial(f, key=...) counts
-    as passing key to f."""
+OUTSIDE_TESTS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + DEMOS
+
+
+def _passed_arguments() -> set:
+    """(callee, keyword) for every keyword argument and (callee, index) for
+    every positional argument passed outside the test suite, in src/frenkel,
+    perfbench/ and demos/; partial(f, ...) counts as passing its arguments
+    after f to f."""
     out = set()
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + DEMOS:
+    for path in OUTSIDE_TESTS:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and node.args:
-                func = node.args[0]
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                func, args = args[0], args[1:]
             callee = getattr(func, "id", getattr(func, "attr", None))
             out.update((callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+            out.update((callee, index) for index in range(len(args)))
     return out
 
 
+def _is_option(param: inspect.Parameter) -> bool:
+    """A keyword-only parameter, or a positional-or-keyword one that
+    defaults to None or a bool (a switch)."""
+    if param.kind is inspect.Parameter.KEYWORD_ONLY:
+        return True
+    return param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and (param.default is None or isinstance(param.default, bool))
+
+
+# Options that only the tests set on purpose: the probe-kink tests compare
+# find_crossings against the sign-scan route that method forces.
+TEST_ONLY_OPTIONS = {("find_crossings", "method")}
+
+
 def test_every_public_option_is_used():
-    # A keyword-only parameter of a public callable is an option.  One that
-    # only the tests pass is a knob no command, workload or demo turns, so
-    # every one must be passed somewhere outside tests/.
+    # An option of a public callable that only the tests pass is a knob no
+    # command, workload or demo turns, so every one must be passed somewhere
+    # outside tests/, by keyword or at its position.
     import frenkel
 
-    passed = _passed_keywords()
-    unused = [
+    passed = _passed_arguments()
+    unused = {
         (name, param.name)
         for name in frenkel.__all__
         if callable(getattr(frenkel, name))
-        for param in inspect.signature(getattr(frenkel, name)).parameters.values()
-        if param.kind is inspect.Parameter.KEYWORD_ONLY and (name, param.name) not in passed
-    ]
-    assert unused == []
+        for index, param in enumerate(inspect.signature(getattr(frenkel, name)).parameters.values())
+        if _is_option(param) and not {(name, param.name), (name, index)} & passed
+    }
+    assert unused == TEST_ONLY_OPTIONS
+
+
+def _public_dataclasses() -> dict:
+    """name -> class of every dataclass that frenkel.__all__ names or that a
+    public callable is annotated to return."""
+    import frenkel
+
+    out = {}
+    for name in frenkel.__all__:
+        obj = getattr(frenkel, name)
+        if dataclasses.is_dataclass(obj):
+            out[name] = obj
+        elif callable(obj):
+            ret = inspect.signature(obj).return_annotation
+            cls = getattr(sys.modules[obj.__module__], ret, None) if isinstance(ret, str) else ret
+            if dataclasses.is_dataclass(cls):
+                out[cls.__name__] = cls
+    return out
+
+
+# Fields that only the tests read on purpose: the margin of psd_order, a
+# reference the tests check the PSD order against.
+TEST_ONLY_FIELDS = {"PsdOrderVerdict.margin"}
+
+
+def test_every_public_field_is_read():
+    # A field of a public result that no module, perfbench file or demo
+    # reads as an attribute is carried only for the tests.
+    read = {
+        node.attr
+        for path in OUTSIDE_TESTS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    classes = _public_dataclasses()
+    assert {"ProductIntegral", "PartsDecomposition", "DivergenceReport", "PsdOrderVerdict"} <= set(classes)
+    unread = {
+        f"{name}.{f.name}" for name, cls in classes.items() for f in dataclasses.fields(cls) if f.name not in read
+    }
+    assert unread == TEST_ONLY_FIELDS
 
 
 # Public names that only the test suite reaches: the clipped operator, the
@@ -281,12 +340,13 @@ def _referenced_names(path: Path, skip_definitions: bool) -> set:
     return out
 
 
-def test_every_public_name_is_reached_outside_the_tests(monkeypatch):
+def test_every_public_name_is_reached_outside_the_tests():
     # A public name that no module, perfbench file or demo reaches is API
-    # that only the tests hold up; tracer TARGETS count as references.
+    # that only the tests hold up.  A tracer target is wrapped, not called,
+    # so it is no reference.
     import frenkel
 
-    reached = {attr for _, attr, *_ in _load_tracing(monkeypatch).TARGETS}
+    reached = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name != "__init__.py":
             reached |= _referenced_names(path, skip_definitions=True)
