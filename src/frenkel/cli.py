@@ -303,7 +303,7 @@ def run_verification_suite(A: np.ndarray, B: np.ndarray, tol: float, diagnostics
     panel chunks of their quadratures run on.
     """
     pair = prepare_pair(A, B)
-    report = {"schema": 1, "dim": int(A.shape[0]), "tol": tol}
+    report = {"schema": 1, "dim": int(pair.A.shape[0]), "tol": tol}
     if not pair.support.holds:
         record = divergence_probe(A, B, PROBE_CHECKPOINTS, tol)
         slope_ok = record.slope >= 0.9 * record.witness_mass

@@ -21,7 +21,8 @@ from . import frechet
 from .linalg import (
     PsdOrderVerdict,
     SpectralDecomposition,
-    as_hermitian,
+    as_hermitian_pair,
+    check_pd,
     check_psd,
     eig_hermitian,
     hermitian_part,
@@ -65,10 +66,7 @@ class DivergenceReport:
 
 def o_gamma(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Clipped operator (A - gamma B)_+."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ValueError(f"o_gamma: dimension mismatch {A.shape} vs {B.shape}")
+    A, B = as_hermitian_pair(A, B)
     return parts(A - gamma * B).positive_part
 
 
@@ -111,8 +109,7 @@ def relative_spectrum(A1: np.ndarray, B1: np.ndarray) -> np.ndarray:
 
 def _relative_spectrum(A1: np.ndarray, w: np.ndarray, U: np.ndarray) -> np.ndarray:
     """relative_spectrum given the ascending eigh (w, U) of B1."""
-    if not positive_definite_spectrum(w):
-        raise ValueError("relative_spectrum: B1 not positive definite")
+    check_pd(w, "relative_spectrum: B1")
     inv_sqrt = U * (1.0 / np.sqrt(w))
     S = hermitian_part(inv_sqrt.conj().T @ A1 @ inv_sqrt)
     # inv_sqrt.conj().T = diag(w^-1/2) U^H, so S = B^-1/2 A B^-1/2 up to basis
@@ -162,14 +159,13 @@ class PreparedPair:
 
 
 def prepare_pair(A: np.ndarray, B: np.ndarray) -> PreparedPair:
-    """Validate each operand, then take B's PSD check, the support verdict
-    and the restriction to range(B) from a single eigh of B."""
-    A = require_psd(A, "A")
-    B = as_hermitian(B)
+    """Admit the operands (as_hermitian_pair) and check A is PSD, then take
+    B's PSD check, the support verdict and the restriction to range(B) from
+    a single eigh of B."""
+    A, B = as_hermitian_pair(A, B)
+    require_psd(A, "A")
     w, U = np.linalg.eigh(B)
     check_psd(w, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch {A.shape} vs {B.shape}")
     support = support_in_eigenbasis(A, w, U)
     if not support.holds:
         return PreparedPair(A, B, support)

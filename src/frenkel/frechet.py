@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, eig_hermitian, hermitian_part, matrix_log, opnorm, positive_definite_spectrum
+from .linalg import SpectralDecomposition, as_hermitian_pair, check_pd, eig_hermitian, hermitian_part, matrix_log, opnorm
 
 # Below this relative gap the divided difference (log b - log a)/(b - a)
 # has no correct digits in float64; the midpoint reciprocal 2/(a + b) is
@@ -43,22 +43,18 @@ def loewner_log(eigs: np.ndarray) -> np.ndarray:
 def dlog(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Derivative of the matrix log at B > 0 in direction A.
 
-    Linear in A and Hermitian for Hermitian A.
+    Linear in A, and Hermitian.
     """
-    B = np.asarray(B, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    if A.shape != B.shape:
-        raise ValueError(f"dlog: dimension mismatch {B.shape} vs {A.shape}")
+    B, A = as_hermitian_pair(B, A)
     return dlog_in(eig_hermitian(B), A)
 
 
 def dlog_in(dec: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
-    """dlog(B, A) given the decomposition of B."""
+    """dlog(B, A) given the decomposition of B, for admitted A."""
     w = dec.eigenvalues
-    if not positive_definite_spectrum(w):
-        raise ValueError(f"dlog: B not positive definite (min eigenvalue {w.min():.6e})")
+    check_pd(w, "dlog: B")
     U = dec.eigenvectors
-    C = U.conj().T @ np.asarray(A, dtype=complex) @ U
+    C = U.conj().T @ A @ U
     L = loewner_log(w)
     return hermitian_part(U @ (L * C) @ U.conj().T)
 
@@ -69,14 +65,14 @@ def dlog_fd_oracle(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     Truncation error is O(t^2) with a constant driven by the smallest
     eigenvalue of B (the third derivative of log blows up there), so the
     step t = 1e-4 lambda_min(B) / max(||A||, 1) scales with that
-    eigenvalue; this balances truncation against rounding near 1e-8
-    absolute accuracy.
+    eigenvalue.  Measured against dlog on gen pairs at cond 1e3 (dims 8 to
+    32), it is up to 3.0e-6 (non-commuting) and 4.0e-6 (commuting) off in
+    operator norm, above the suite's 1e-7 threshold; ROADMAP item 2 owns
+    the error model of this oracle.
     """
-    B = np.asarray(B, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    w = np.linalg.eigvalsh(hermitian_part(B))
-    if not positive_definite_spectrum(w):
-        raise ValueError("dlog_fd_oracle: B must be positive definite")
+    B, A = as_hermitian_pair(B, A)
+    w = np.linalg.eigvalsh(B)
+    check_pd(w, "dlog_fd_oracle: B")
     t = 1e-4 * float(w.min()) / max(opnorm(A), 1.0)
     try:
         plus = matrix_log(B + t * A)
@@ -92,6 +88,7 @@ def trace_pairing_check(B: np.ndarray, A: np.ndarray) -> tuple[float, float]:
     Returns (|tr(B dlog(B, A)) - tr A|, ||dlog(B, B) - I||_F); both
     derivatives share one decomposition of B.
     """
+    B, A = as_hermitian_pair(B, A)
     dec = eig_hermitian(B)
     r1 = abs(float(np.trace(B @ dlog_in(dec, A)).real - np.trace(A).real))
     n = B.shape[0]

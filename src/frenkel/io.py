@@ -2,10 +2,10 @@
 
 A pair file holds two matrices, each a JSON object {"n": int, "re": n x n,
 "im": n x n}; the writer emits 17 significant digits (exact binary64
-round-trip).  The pair reader symmetrizes both matrices and rejects a
-Hermiticity defect above HERMITICITY_RTOL * max |entry|.  Every JSON input
-of the package is read by load_object, so malformed input is a ValueError
-naming the document and the field.
+round-trip).  Reader and writer admit the pair alike: both symmetrize the
+matrices and reject a Hermiticity defect above HERMITICITY_RTOL * max
+|entry|.  Every JSON input of the package is read by load_object, so
+malformed input is a ValueError naming the document and the field.
 """
 
 from __future__ import annotations
@@ -16,19 +16,13 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .linalg import as_hermitian
+from .linalg import as_hermitian, as_hermitian_pair
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
-
-
 def _rows(M: np.ndarray) -> str:
-    return "[" + ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in M) + "]"
+    return "[" + ",".join("[" + ",".join(format(float(v), ".17g") for v in row) + "]" for row in M) + "]"
 
 
 def matrix_json(M: np.ndarray) -> str:
@@ -116,6 +110,8 @@ def _stored_matrix(obj) -> np.ndarray:
 
 
 def pair_json(A: np.ndarray, B: np.ndarray, seed=None) -> str:
+    """The pair file of A and B, admitted as read_pair admits them."""
+    A, B = as_hermitian_pair(A, B)
     head = '{"schema":1'
     if seed is not None:
         head += ',"seed":%d' % int(seed)

@@ -3,6 +3,9 @@ positive/negative parts, Schatten norms, and PSD-order predicates.
 
 All matrices are dense complex Hermitian ndarrays.  Every function is pure;
 nothing is mutated in place, so values can be shared freely across threads.
+as_hermitian and as_hermitian_pair are the operand gate: every public
+entry point admits its matrices through them, as read_pair does.  The
+kernels take the Hermitian part of admitted matrices and intermediates.
 """
 
 from __future__ import annotations
@@ -43,24 +46,35 @@ def as_hermitian(M: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a square matrix.
 
     Raises ValueError when the input is not square, carries non-finite
-    entries, or deviates from Hermiticity by more than HERMITICITY_RTOL
-    relative to its largest entry.
+    entries or entries above half the float64 maximum (where (M + M*) / 2
+    can overflow), or deviates from Hermiticity by more than
+    HERMITICITY_RTOL relative to its largest entry.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(M.view(float))):
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
-    defect = hermiticity_defect(M)
     scale = float(np.abs(M).max(initial=0.0))
+    if not scale <= np.finfo(float).max / 2:
+        raise ValueError(f"matrix entries exceed half the float64 maximum (max |entry| {scale:.3e})")
+    defect = hermiticity_defect(M)
     if defect > HERMITICITY_RTOL * max(scale, 1e-300):
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{HERMITICITY_RTOL:.0e} * {scale:.3e}"
         )
     return hermitian_part(M)
+
+
+def as_hermitian_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """as_hermitian of each operand, which must then have one shape."""
+    A, B = as_hermitian(A), as_hermitian(B)
+    if A.shape != B.shape:
+        raise ValueError(f"dimension mismatch {A.shape} vs {B.shape}")
+    return A, B
 
 
 def opnorm(T: np.ndarray) -> float:
@@ -86,7 +100,7 @@ def eig_hermitian(T: np.ndarray) -> SpectralDecomposition:
     rejected up front; they are the only way the backing solver fails.
     """
     T = np.asarray(T, dtype=complex)
-    if not np.all(np.isfinite(T.view(float))):
+    if not np.isfinite(T).all():
         raise ValueError("eig_hermitian: non-finite entries in input")
     w, U = np.linalg.eigh(hermitian_part(T))
     return SpectralDecomposition(w[::-1].copy(), U[:, ::-1].copy())
@@ -172,18 +186,13 @@ def matrix_log(T: np.ndarray) -> np.ndarray:
 def log_of(dec: SpectralDecomposition) -> np.ndarray:
     """matrix_log of the matrix with this decomposition."""
     w = dec.eigenvalues
-    if not positive_definite_spectrum(w):
-        raise ValueError(
-            f"matrix_log: input not positive definite at working precision "
-            f"(min eigenvalue {w.min():.6e}, floor {zero_band(w):.6e})"
-        )
+    check_pd(w, "matrix_log: input")
     return rebuild(dec.eigenvectors, np.log(w))
 
 
 def schatten_norm(T: np.ndarray, p: float) -> float:
     """Schatten p-norm (sum |eigenvalue|^p)^(1/p); p = inf gives the operator norm."""
-    if not (p >= 1):
-        raise ValueError(f"schatten_norm: p must be >= 1 or inf, got {p!r}")
+    check_exponent(p, "schatten_norm")
     w = np.abs(np.linalg.eigvalsh(hermitian_part(np.asarray(T, dtype=complex))))
     if np.isinf(p):
         return float(w.max())
@@ -216,20 +225,28 @@ def check_psd(w: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.6e})")
 
 
-def require_psd(T: np.ndarray, name: str = "matrix") -> np.ndarray:
-    T = as_hermitian(T)
+def check_pd(w: np.ndarray, name: str) -> None:
+    """The package's one positive-definite test on a Hermitian spectrum
+    (positive_definite_spectrum): raise unless it clears the zero band."""
+    if not positive_definite_spectrum(w):
+        raise ValueError(f"{name} is not positive definite (min eigenvalue {w.min():.6e})")
+
+
+def check_exponent(p: float, name: str) -> None:
+    """Raise unless p is a Schatten exponent: p >= 1, or inf."""
+    if not (p >= 1):
+        raise ValueError(f"{name}: p must be >= 1 or inf, got {p!r}")
+
+
+def require_psd(T: np.ndarray, name: str) -> None:
+    """check_psd on the eigvalsh of an admitted matrix."""
     check_psd(np.linalg.eigvalsh(T), name)
-    return T
 
 
 def psd_order(A: np.ndarray, B: np.ndarray, tau: float) -> PsdOrderVerdict:
     """Decide A <= tau * B in the PSD order, with the minimizing direction on failure."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ValueError(f"psd_order: dimension mismatch {A.shape} vs {B.shape}")
-    diff = hermitian_part(tau * B - A)
-    w, U = np.linalg.eigh(diff)
+    A, B = as_hermitian_pair(A, B)
+    w, U = np.linalg.eigh(tau * B - A)
     margin = float(w[0])
     tol = PSD_SLACK * (opnorm(A) + abs(tau) * opnorm(B))
     holds = margin >= -tol
@@ -244,10 +261,9 @@ def support_relation(A: np.ndarray, B: np.ndarray) -> PsdOrderVerdict:
     ZERO_BAND * opnorm(B); failure returns a unit witness x with B x ~ 0
     and x* A x > 0.
     """
-    A = require_psd(A, "A")
-    B = require_psd(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"support_relation: dimension mismatch {A.shape} vs {B.shape}")
+    A, B = as_hermitian_pair(A, B)
+    require_psd(A, "A")
+    require_psd(B, "B")
     return support_in_eigenbasis(A, *np.linalg.eigh(B))
 
 

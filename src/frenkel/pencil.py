@@ -13,7 +13,7 @@ import numpy as np
 
 from .divergence import _relative_spectrum
 from .io import write_csv
-from .linalg import hermitian_part, opnorm, parts, positive_definite_spectrum, range_mask, schatten_norm
+from .linalg import as_hermitian_pair, hermitian_part, opnorm, parts, positive_definite_spectrum, range_mask, schatten_norm
 
 GENERALIZED_EIG = "generalized_eig"
 SIGN_SCAN = "sign_scan"
@@ -38,15 +38,17 @@ def eigencurves(A: np.ndarray, B: np.ndarray, grid: np.ndarray) -> np.ndarray:
     |g - g'| ||B||) though branches may exchange analytic identity at
     crossings.
     """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise ValueError(f"eigencurves: dimension mismatch {A.shape} vs {B.shape}")
+    A, B = as_hermitian_pair(A, B)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("eigencurves: empty grid")
     if not np.isfinite(grid).all():
         raise ValueError("eigencurves: the grid must be finite")
+    return _curves(A, B, grid)
+
+
+def _curves(A: np.ndarray, B: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """eigencurves of a Hermitian pair, which may be empty, on a finite grid."""
     mats = grid[:, None, None] * B[None]
     np.subtract(A, mats, out=mats)  # A - g B in place: one temporary, the same bits
     w = np.linalg.eigvalsh(mats)  # ascending per matrix
@@ -82,8 +84,7 @@ def find_crossings(
     excluded.  method forces one route
     ("generalized_eig" needs definite B); the default picks automatically.
     """
-    A = hermitian_part(np.asarray(A, dtype=complex))
-    B = hermitian_part(np.asarray(B, dtype=complex))
+    A, B = as_hermitian_pair(A, B)
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"find_crossings: interval must be finite and increasing, got {interval!r}")
@@ -108,7 +109,7 @@ def find_crossings(
         A = hermitian_part(W @ A @ W.conj().T)
         B = hermitian_part(W @ B @ W.conj().T)
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    curves = eigencurves(A, B, grid)
+    curves = _curves(A, B, grid)
     # A branch whose every value lies in the zero band of all the curves is
     # identically zero: not a crossing of a nonzero branch.
     found = []
@@ -142,8 +143,7 @@ def kato_continuity_check(T1: np.ndarray, T2: np.ndarray) -> tuple[float, float]
       rhs = ||T1 - T2||/pi * ((pi + 4)/2 + log((||T1|| + ||T2||)/||T1 - T2||)).
     The inequality lhs <= rhs holds whenever ||T1 - T2|| <= ||T1|| + ||T2||.
     """
-    T1 = hermitian_part(np.asarray(T1, dtype=complex))
-    T2 = hermitian_part(np.asarray(T2, dtype=complex))
+    T1, T2 = as_hermitian_pair(T1, T2)
     gap = opnorm(T1 - T2)
     if gap == 0.0:
         raise ValueError("kato_continuity_check: T1 = T2, bound degenerate")
@@ -163,10 +163,7 @@ def araki_check(T1: np.ndarray, T2: np.ndarray) -> tuple[float, float]:
     Returns (|| |T1| - |T2| ||_2, ||T1 - T2||_2); the first never exceeds
     the second.
     """
-    T1 = hermitian_part(np.asarray(T1, dtype=complex))
-    T2 = hermitian_part(np.asarray(T2, dtype=complex))
-    if T1.shape != T2.shape:
-        raise ValueError(f"araki_check: dimension mismatch {T1.shape} vs {T2.shape}")
+    T1, T2 = as_hermitian_pair(T1, T2)
     a1 = parts(T1).absolute_value
     a2 = parts(T2).absolute_value
     return schatten_norm(a1 - a2, 2), schatten_norm(T1 - T2, 2)

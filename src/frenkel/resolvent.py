@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .divergence import _restrict, embed
-from .linalg import as_hermitian, check_psd, hermitian_part, opnorm, positive_definite_spectrum
+from .linalg import as_hermitian, as_hermitian_pair, check_pd, check_psd, hermitian_part, opnorm
 from .quadrature import DEFAULT_TOL, QuadratureResult, _adaptive
 
 _S_CUT = 1.0 - 1e-12
@@ -38,13 +38,11 @@ def _halfline(fx, c: float, tol: float) -> QuadratureResult:
     return _adaptive(g, 0.0, _S_CUT, tol)
 
 
-def _check_pd(B: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """(Hermitian part of B, its operator norm), from the one eigvalsh that checks B is PD."""
-    B = hermitian_part(np.asarray(B, dtype=complex))
+def _check_pd(B: np.ndarray, name: str) -> float:
+    """The operator norm of an admitted B, from the one eigvalsh that checks B is PD."""
     w = np.linalg.eigvalsh(B)
-    if not positive_definite_spectrum(w):
-        raise ValueError(f"{name} must be positive definite (min eigenvalue {w.min():.6e})")
-    return B, float(np.abs(w).max())
+    check_pd(w, name)
+    return float(np.abs(w).max())
 
 
 def _shifted_inv(B: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -54,7 +52,8 @@ def _shifted_inv(B: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def log_resolvent(B: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """log B as integral_0^inf ((1+x)^-1 I - (B + x I)^-1) dx for PD B."""
-    B, norm_b = _check_pd(B, "log_resolvent: B")
+    B = as_hermitian(B)
+    norm_b = _check_pd(B, "log_resolvent: B")
     n = B.shape[0]
     c = max(norm_b, 1.0)
 
@@ -66,7 +65,7 @@ def log_resolvent(B: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def abs_resolvent(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """|A| as (2/pi) integral_0^inf A^2 (A^2 + x^2 I)^-1 dx for Hermitian A."""
-    A = hermitian_part(np.asarray(A, dtype=complex))
+    A = as_hermitian(A)
     norm_a = opnorm(A)
     if norm_a == 0.0:
         return np.zeros_like(A)
@@ -84,8 +83,8 @@ def dlog_resolvent(B: np.ndarray, A: np.ndarray, tol: float = DEFAULT_TOL) -> np
 
         integral_0^inf (B + x I)^-1 A (B + x I)^-1 dx.
     """
-    B, norm_b = _check_pd(B, "dlog_resolvent: B")
-    A = np.asarray(A, dtype=complex)
+    B, A = as_hermitian_pair(B, A)
+    norm_b = _check_pd(B, "dlog_resolvent: B")
     c = max(opnorm(A), norm_b, 1.0)
 
     def fx(xs):
@@ -138,8 +137,7 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Pro
     range(B) first and the result embedded back.  B's PSD check and the
     restriction read one eigh of B.
     """
-    A = hermitian_part(np.asarray(A, dtype=complex))
-    B = as_hermitian(B)
+    A, B = as_hermitian_pair(A, B)
     w, U = np.linalg.eigh(B)
     check_psd(w, "bdlog_product: B")
     n = B.shape[0]
@@ -151,7 +149,7 @@ def bdlog_product(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> Pro
     if not B1.size:
         # B = 0, so A = 0 as well: every term of the integral is 0.
         return ProductIntegral(value=np.zeros_like(A), value_norm=0.0, bound=0.0)
-    B1, norm_b = _check_pd(B1, "bdlog_product: B on range(B)")
+    norm_b = _check_pd(B1, "bdlog_product: B on range(B)")
     alpha = _domination(A1, B1, a_invertible=False).alpha
     c = max(float(np.abs(np.linalg.eigvalsh(A1)).max()), norm_b, 1.0)
 
@@ -184,10 +182,9 @@ class LogChainIntegral:
 
 def alogdiff_integral(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> LogChainIntegral:
     """integral_0^inf (A (B + x I)^-1 - A (A + x I)^-1) dx for PD A, B."""
-    A, norm_a = _check_pd(A, "alogdiff_integral: A")
-    B, norm_b = _check_pd(B, "alogdiff_integral: B")
-    if A.shape != B.shape:
-        raise ValueError("alogdiff_integral: dimension mismatch")
+    A, B = as_hermitian_pair(A, B)
+    norm_a = _check_pd(A, "alogdiff_integral: A")
+    norm_b = _check_pd(B, "alogdiff_integral: B")
     consts = _domination(A, B, True)  # A is positive definite
     c = max(norm_a, norm_b, 1.0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .divergence import delta_operator, prepare_pair
 from .io import field, integer_field, number_field, write_csv
-from .linalg import hermitian_part, random_unitary, rebuild, schatten_norm
+from .linalg import as_hermitian, check_exponent, random_unitary, rebuild, schatten_norm
 from .quadrature import U_FLOOR, Clip, Term, _scalar_total, clipped_integrals
 
 LAWS = ("power", "geom")
@@ -147,7 +147,8 @@ class TruncationSeries:
 
 
 def truncation_series(T: np.ndarray, p: float) -> TruncationSeries:
-    T = hermitian_part(np.asarray(T, dtype=complex))
+    T = as_hermitian(T)
+    check_exponent(p, "truncation_series")
     N = T.shape[0]
     X = _sample_block(N, 20)
     ns = np.arange(1, N + 1)
@@ -250,8 +251,7 @@ def budget_e_p(A: np.ndarray, B: np.ndarray, p: float, tol: float = 1e-6) -> flo
     Raises ValueError when either integral ends unconverged.
     """
     pair = prepare_pair(A, B)
-    if not (p >= 1):
-        raise ValueError("budget_e_p: p must be >= 1 or inf")
+    check_exponent(p, "budget_e_p")
     if not pair.support.holds:
         return math.inf
     term = Term(EIGS_ABOVE_ZERO, lambda X, c: _pnorm_rows(X, p) / c, tol)

@@ -166,12 +166,14 @@ ROUTES = {
 @pytest.mark.parametrize("name", [n for n in ROUTES if n != "proof_chain_integrals"] + ["dlog", "bdlog_product"])
 def test_zero_pair_routes_return_zero(name):
     # A = B = 0 has support containment and an empty range(B): each route
-    # returns its zero value instead of reducing over the empty block.
+    # returns its zero value instead of reducing over the empty block.  The
+    # verify suite's dlog route is dlog_in on the pair's decomposition of B1
+    # (frechet.dlog itself admits no empty operand).
     Z = np.zeros((3, 3), dtype=complex)
     pair = prepare_pair(Z, Z)
     routes = {
         **ROUTES,
-        "dlog": lambda A, B: frechet.dlog(pair.B1, pair.A1),
+        "dlog": lambda A, B: frechet.dlog_in(pair.b1_decomposition, pair.A1),
         "bdlog_product": lambda A, B: resolvent.bdlog_product(A, B, 1e-8),
     }
     out = routes[name](Z, Z)
@@ -234,7 +236,8 @@ class TestPreparedPair:
 
     def test_b_fails_validation_on_its_eigh(self):
         # B's PSD check reads the eigh that prepare_pair takes anyway, and
-        # the checks keep their order: A, then B, then the shapes.
+        # the checks keep their order: the shapes (as_hermitian_pair), then
+        # A, then B.
         rng = np.random.default_rng(89)
         P, N = rand_pd(rng, 3), -rand_pd(rng, 3)
         w = np.linalg.eigh(N)[0]
@@ -243,8 +246,8 @@ class TestPreparedPair:
         assert str(exc.value) == f"B is not positive semidefinite (min eigenvalue {w.min():.6e})"
         with pytest.raises(ValueError, match="^A is not positive semidefinite"):
             prepare_pair(N, N)
-        with pytest.raises(ValueError, match="^B is not positive semidefinite"):
-            prepare_pair(P, -rand_pd(rng, 4))
+        with pytest.raises(ValueError, match=r"^dimension mismatch \(3, 3\) vs \(4, 4\)$"):
+            prepare_pair(N, -rand_pd(rng, 4))
         with pytest.raises(ValueError, match="^dimension mismatch"):
             prepare_pair(P, rand_pd(rng, 4))
 

@@ -47,6 +47,18 @@ class TestMatrixFormat:
         assert np.array_equal(A2, A)
         assert np.abs(B2 - B).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_writer_rejects_what_the_reader_rejects(self, bad):
+        # A non-finite entry, or one whose symmetrization can overflow, has
+        # no pair-file form that read_pair accepts, so nothing is written.
+        rng = np.random.default_rng(204)
+        A, B = rand_herm(rng, 3), rand_herm(rng, 3)
+        B[1, 1] = bad
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="non-finite|exceed half the float64 maximum"):
+            fio.write_pair(buf, A, B, seed=7)
+        assert buf.getvalue() == ""
+
 
 class TestCsv:
     def test_precision_and_ints(self):

@@ -340,3 +340,12 @@ class TestHermiticity:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linalg.as_hermitian(np.ones((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("entry", [1e308, 1e308j, 9e307 - 1j])
+    def test_rejects_entries_beyond_half_the_float64_maximum(self, entry):
+        # (M + M*) / 2 of these finite M would be inf or nan.
+        M = np.array([[1.0, entry], [np.conj(entry), 1.0]])
+        with pytest.raises(ValueError, match="^matrix entries exceed half the float64 maximum"):
+            linalg.as_hermitian(M)
+        M = np.array([[1.0, 8e307j], [-8e307j, 1.0]])
+        assert np.array_equal(linalg.as_hermitian(M), M)

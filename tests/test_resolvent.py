@@ -75,12 +75,12 @@ class TestDlogResolvent:
 
 
 class TestDominationConstants:
-    # resolvent._domination takes a validated PD B and whether A is invertible.
+    # resolvent._domination takes an admitted PD B and whether A is invertible.
     def test_minimality(self):
         rng = np.random.default_rng(166)
         for _ in range(20):
             A = rand_herm(rng, 4)
-            B, _ = resolvent._check_pd(rand_pd(rng, 4), "B")
+            B = rand_pd(rng, 4)
             c = resolvent._domination(A, B, a_invertible=False)
             scale = linalg.opnorm(A) ** 2 + linalg.opnorm(B) ** 2
             w = np.linalg.eigvalsh(c.alpha**2 * (B @ B) - A @ A)
@@ -91,7 +91,7 @@ class TestDominationConstants:
     def test_beta_constants(self):
         rng = np.random.default_rng(167)
         A = rand_pd(rng, 4)
-        B, _ = resolvent._check_pd(rand_pd(rng, 4), "B")
+        B = rand_pd(rng, 4)
         c = resolvent._domination(A, B, a_invertible=True)
         scale = linalg.opnorm(A) ** 2 + linalg.opnorm(B) ** 2
         assert np.linalg.eigvalsh(c.beta_a**2 * (A @ A) - B @ B).min() >= -1e-9 * scale
@@ -102,7 +102,7 @@ class TestDominationConstants:
 
     def test_singular_direction_has_no_beta(self):
         A = np.diag([1.0, 0.0]).astype(complex)
-        B, _ = resolvent._check_pd(np.eye(2, dtype=complex), "B")
+        B = np.eye(2, dtype=complex)
         c = resolvent._domination(A, B, a_invertible=False)
         assert c.alpha == pytest.approx(1.0, rel=1e-12)
         assert c.beta_a is None and c.beta_b is None

@@ -125,6 +125,16 @@ class TestTruncationSeries:
             quad = np.einsum("ij,ik,kj->j", samples.conj(), T[:n, :n], samples).real
             assert max(quad.max(), 0.0) <= want + 1e-12
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_exponent_below_one_is_rejected(self, p):
+        # p = 0 would divide by zero and p = 0.5 give quasi-norms; the
+        # message is schatten_norm's.
+        T = np.diag([0.5, -0.3]).astype(complex)
+        with pytest.raises(ValueError, match=r"^truncation_series: p must be >= 1 or inf, got "):
+            schatten.truncation_series(T, p)
+        with pytest.raises(ValueError, match=r"^schatten_norm: p must be >= 1 or inf, got "):
+            linalg.schatten_norm(T, p)
+
     def test_csv(self):
         m = geom_model()
         series = schatten.truncation_series(schatten.synth_compact(m), 1.0)

@@ -17,10 +17,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_gate import GATED_ENTRY_POINTS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "frenkel"
@@ -354,3 +356,56 @@ def test_every_public_name_is_reached_outside_the_tests():
         reached |= _referenced_names(path, skip_definitions=False)
     unreached = {name for name in frenkel.__all__ if name not in reached}
     assert unreached == TEST_ONLY_NAMES
+
+
+# Operand parameters: a public callable that takes one of these must admit
+# it through the operand gate (linalg.as_hermitian, as_hermitian_pair).
+OPERAND_PARAMETERS = {"A", "B", "T", "T1", "T2"}
+
+# Public kernels, which take the Hermitian part of what they are handed: the
+# package calls them on admitted operands and on intermediates, which the
+# gate would reject (an empty range(B) block) or only check again.
+KERNELS = {
+    "eig_hermitian": "decomposes admitted operands and range(B) blocks; rejects non-finite entries itself",
+    "matrix_log": "the logs of dlog_fd_oracle's pencils B +/- tA",
+    "opnorm": "norms of intermediates such as A - embed(V, A1, n)",
+    "parts": "clips pencils A - gamma B, and the suite's A - B",
+    "positive_part": "the tests' reference clip of a pencil",
+    "schatten_norm": "norms of differences such as |T1| - |T2| in araki_check",
+    "truncate": "the leading blocks of truncation_series' admitted master operator",
+}
+
+
+def _enters_through_prepare_pair(fn) -> bool:
+    """The first statement of fn past its docstring assigns
+    prepare_pair(A, B) or supported_pair(A, B)."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    first = body[0]
+    return (
+        isinstance(first, ast.Assign)
+        and isinstance(first.value, ast.Call)
+        and getattr(first.value.func, "id", None) in ("prepare_pair", "supported_pair")
+        and [ast.unparse(arg) for arg in first.value.args] == ["A", "B"]
+    )
+
+
+def test_every_public_operand_passes_the_gate():
+    # Each public function with an operand parameter is in the gate test's
+    # table, enters through prepare_pair (which admits its operands), or is
+    # a listed kernel: a new public entry point cannot skip the gate.
+    import frenkel
+    from frenkel import divergence
+
+    assert _enters_through_prepare_pair(divergence.supported_pair)
+    takes_operands = {
+        name
+        for name in frenkel.__all__
+        if inspect.isfunction(getattr(frenkel, name))
+        and OPERAND_PARAMETERS & set(inspect.signature(getattr(frenkel, name)).parameters)
+    }
+    prepared = {name for name in takes_operands if _enters_through_prepare_pair(getattr(frenkel, name))}
+    assert set(KERNELS) <= takes_operands
+    assert set(KERNELS).isdisjoint(set(GATED_ENTRY_POINTS) | prepared)
+    assert takes_operands - set(GATED_ENTRY_POINTS) - prepared - set(KERNELS) == set()
